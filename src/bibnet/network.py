@@ -1,19 +1,30 @@
 """Co-occurrence network construction.
 
-Semantics match the BigQuery templates rendered by :mod:`bibnet.sqlgen`:
-node candidates are ranked by distinct-publication count and capped at
-``max_nodes``; every unordered pair of distinct selected entities on a
-publication contributes one to that pair's weight (distinct publications,
-so duplicate listings within one record are harmless); pairs are stored
-canonically with the lexicographically greater key first, mirroring the
-SQL dedup guard; edges below ``min_edge_weight`` are dropped. Organisation
-ids missing from the organisations table are excluded (inner-join
-semantics), and organisation labels are ``"{name} ({id})"``.
+Node candidates are ranked by distinct-publication count (descending, ties
+broken by ascending key) and capped at ``max_nodes``; every unordered pair
+of distinct selected entities on a publication contributes one to that
+pair's weight (distinct publications, so duplicate listings within one
+record are harmless); pairs are stored canonically with the
+lexicographically greater key first, mirroring the SQL dedup guard; edges
+below ``min_edge_weight`` are dropped. Organisation ids missing from the
+organisations table are excluded (inner-join semantics), and organisation
+labels are ``"{name} ({id})"``. Only the subset's publications are visited;
+subset ids absent from the corpus are ignored.
+
+The BigQuery templates rendered by :mod:`bibnet.sqlgen` differ from this
+in their ``top_nodes`` step, which shows once ``max_nodes`` cuts into the
+candidates: ``COUNT(p.id)`` counts a publication once per listing, so
+duplicate listings inflate an entity's count; the organisation template
+does not join the organisations table there, so unresolved org ids can
+take node slots; and ``ORDER BY 2 DESC LIMIT`` has no tie-break, so equal
+counts at the cap are cut in no fixed order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from bibnet.corpus import Corpus
 from bibnet.query import SubsetResult
@@ -80,13 +91,18 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown network kind {kind!r} (expected one of {KINDS})")
 
 
-def _pub_entities(corpus: Corpus, pub, kind: str, params: NetworkParams) -> set[str]:
-    """Deduplicated entity keys of one publication that may enter the network."""
+def _subset_entities(
+    corpus: Corpus, subset: SubsetResult, kind: str, params: NetworkParams
+) -> list[set[str]]:
+    """Deduplicated entity keys that may enter the network, one set per
+    subset publication; subset ids absent from the corpus are ignored."""
+    pubs = corpus.publications
+    members = [pubs[pid] for pid in subset.ids if pid in pubs]
     if kind == ORGANISATION:
         orgs = corpus.organisations
-        return {oid for oid in pub.research_orgs if oid in orgs}
+        return [{oid for oid in pub.research_orgs if oid in orgs} for pub in members]
     gate = params.concept_min_relevance
-    return {m.concept for m in pub.concepts if m.relevance >= gate}
+    return [{m.concept for m in pub.concepts if m.relevance >= gate} for pub in members]
 
 
 def _node_label(corpus: Corpus, kind: str, key: str) -> str:
@@ -94,6 +110,14 @@ def _node_label(corpus: Corpus, kind: str, key: str) -> str:
         org = corpus.organisations[key]
         return f"{org.name} ({key})"
     return key
+
+
+def _rank(
+    corpus: Corpus, entity_sets: list[set[str]], kind: str, params: NetworkParams
+) -> list[Node]:
+    counts = Counter(chain.from_iterable(entity_sets))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: params.max_nodes]
+    return [Node(key=key, label=_node_label(corpus, kind, key), pubs=n) for key, n in ranked]
 
 
 def top_nodes(
@@ -106,36 +130,20 @@ def top_nodes(
     participate.
     """
     _check_kind(kind)
-    counts: dict[str, int] = {}
-    subset_ids = subset.ids
-    for pid, pub in corpus.publications.items():
-        if pid not in subset_ids:
-            continue
-        for key in _pub_entities(corpus, pub, kind, params):
-            counts[key] = counts.get(key, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: params.max_nodes]
-    return [Node(key=key, label=_node_label(corpus, kind, key), pubs=n) for key, n in ranked]
+    return _rank(corpus, _subset_entities(corpus, subset, kind, params), kind, params)
 
 
 def _build(corpus: Corpus, subset: SubsetResult, kind: str, params: NetworkParams) -> Network:
-    nodes = top_nodes(corpus, subset, kind, params)
+    entity_sets = _subset_entities(corpus, subset, kind, params)
+    nodes = _rank(corpus, entity_sets, kind, params)
     selected = {node.key for node in nodes}
-    subset_ids = subset.ids
 
-    pair_counts: dict[tuple[str, str], int] = {}
-    subset_size = 0
-    for pid, pub in corpus.publications.items():
-        if pid not in subset_ids:
-            continue
-        subset_size += 1
-        members = _pub_entities(corpus, pub, kind, params) & selected
-        if len(members) < 2:
-            continue
-        ordered = sorted(members, reverse=True)  # yields (greater, lesser) pairs
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                key = (a, b)
-                pair_counts[key] = pair_counts.get(key, 0) + 1
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    for entities in entity_sets:
+        members = entities & selected
+        if len(members) >= 2:
+            # descending order yields each pair as (greater, lesser)
+            pair_counts.update(combinations(sorted(members, reverse=True), 2))
 
     threshold = params.min_edge_weight
     edges = tuple(
@@ -149,7 +157,7 @@ def _build(corpus: Corpus, subset: SubsetResult, kind: str, params: NetworkParam
         params=params,
         nodes=tuple(nodes),
         edges=edges,
-        subset_size=subset_size,
+        subset_size=len(entity_sets),
     )
 
 

@@ -19,10 +19,13 @@ field fails that predicate leaf.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from bibnet.corpus import Corpus, Publication
 
@@ -421,60 +424,71 @@ def _child(expr: Expr, parent_level: int, right: bool) -> str:
 
 # --- Evaluation --------------------------------------------------------------
 
-_OP_FUNCS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+_Predicate = Callable[[Publication], bool]
+
+# Leaf tests bind the literal as the first operand and receive the record's
+# value second, so each operator is stored with its operands swapped:
+# ``value < literal`` is ``literal > value``.
+_SWAPPED_OPS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.gt,
+    "<=": operator.ge,
+    ">": operator.lt,
+    ">=": operator.le,
 }
 
-
-def _field_values(pub: Publication, field: str) -> list:
-    if field == "year":
-        return [pub.year] if pub.year is not None else []
-    if field == "date_inserted":
-        return [pub.date_inserted] if pub.date_inserted is not None else []
-    if field == "journal_title":
-        return [pub.journal_title] if pub.journal_title is not None else []
-    if field == "doc_type":
-        return [pub.doc_type] if pub.doc_type is not None else []
-    if field == "id":
-        return [pub.id]
-    if field == "research_orgs":
-        return list(pub.research_orgs)
-    if field == "concept":
-        return [m.concept for m in pub.concepts]
-    raise KeyError(field)
+_concept_text = operator.attrgetter("concept")
 
 
-def _eval_expr(expr: Expr, pub: Publication, today: date) -> bool:
+def _leaf(field: str, test: Callable[[object], bool]) -> _Predicate:
+    """Apply ``test`` to a field: a multi-valued field matches if any element
+    does, and a missing scalar field fails the leaf."""
+    _, multi = FIELDS[field]
+    if multi:
+        if field == "research_orgs":
+            return lambda pub: any(map(test, pub.research_orgs))
+        return lambda pub: any(map(test, map(_concept_text, pub.concepts)))
+    get = operator.attrgetter(field)
+
+    def scalar(pub: Publication) -> bool:
+        value = get(pub)
+        return value is not None and test(value)
+
+    return scalar
+
+
+def _compile(expr: Expr, today: date) -> _Predicate:
+    """Compile an AST into a predicate over one publication, computing every
+    per-query constant (value sets, date cutoffs) once."""
     if isinstance(expr, OrExpr):
-        return _eval_expr(expr.left, pub, today) or _eval_expr(expr.right, pub, today)
+        left, right = _compile(expr.left, today), _compile(expr.right, today)
+        return lambda pub: left(pub) or right(pub)
     if isinstance(expr, AndExpr):
-        return _eval_expr(expr.left, pub, today) and _eval_expr(expr.right, pub, today)
+        left, right = _compile(expr.left, today), _compile(expr.right, today)
+        return lambda pub: left(pub) and right(pub)
     if isinstance(expr, NotExpr):
-        return not _eval_expr(expr.operand, pub, today)
+        operand = _compile(expr.operand, today)
+        return lambda pub: not operand(pub)
     if isinstance(expr, Comparison):
-        op = _OP_FUNCS[expr.op]
-        return any(op(value, expr.value) for value in _field_values(pub, expr.field))
+        return _leaf(expr.field, partial(_SWAPPED_OPS[expr.op], expr.value))
     if isinstance(expr, Membership):
-        allowed = set(expr.values)
-        return any(value in allowed for value in _field_values(pub, expr.field))
+        return _leaf(expr.field, frozenset(expr.values).__contains__)
     if isinstance(expr, DateWindow):
         cutoff = today - timedelta(days=expr.days)
-        return any(value >= cutoff for value in _field_values(pub, expr.field))
+        return _leaf(expr.field, partial(operator.le, cutoff))  # value >= cutoff
     if isinstance(expr, IdFilter):
-        return pub.id in expr.ids
+        return _leaf("id", frozenset(expr.ids).__contains__)
     raise TypeError(f"not a query expression: {expr!r}")
 
 
 def eval_query(query: SubsetQuery, corpus: Corpus, today: date) -> SubsetResult:
-    """Evaluate a parsed query; total, depends only on (query, corpus, today)."""
-    ids = frozenset(
-        pid for pid, pub in corpus.publications.items() if _eval_expr(query.ast, pub, today)
-    )
+    """Evaluate a parsed query; total, depends only on (query, corpus, today).
+
+    Costs one pass over the corpus plus one pass over the query.
+    """
+    matches = _compile(query.ast, today)
+    ids = frozenset(pid for pid, pub in corpus.publications.items() if matches(pub))
     return SubsetResult(ids=ids, query_name=query.name, evaluated_at=datetime.now(timezone.utc))
 
 

@@ -258,6 +258,8 @@ def write_bundle(
 
     Manifest entries align one-to-one with ``documents``. Slug collisions
     get a numeric suffix and are recorded. Files are replaced atomically.
+    Once the new manifest is written, network files it does not list (left
+    by an earlier run) are removed.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -301,6 +303,9 @@ def write_bundle(
             out / MANIFEST_FILE,
             json.dumps(manifest.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         )
+        for path in (out / NETWORK_DIR).glob("*.json"):
+            if path.name not in assigned:
+                path.unlink()
         _atomic_write_text(out / INDEX_FILE, render_index(entries))
     return manifest
 

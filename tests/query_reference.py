@@ -1,0 +1,76 @@
+"""Naive per-record reference evaluator for the query language.
+
+Interprets the AST afresh for every publication, reading each field into a
+list of values (empty when a scalar field is missing, every element for a
+multi-valued field) and asking whether any value passes the leaf. Lives in
+the test tree on purpose: it is the independent reference that the
+compiled evaluator in :mod:`bibnet.query` is checked against and must
+never be imported by shipping code.
+"""
+
+from __future__ import annotations
+
+from datetime import date, timedelta
+
+from bibnet.corpus import Corpus, Publication
+from bibnet.query import (
+    AndExpr,
+    Comparison,
+    DateWindow,
+    Expr,
+    IdFilter,
+    Membership,
+    NotExpr,
+    OrExpr,
+)
+
+_OPS = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def field_values(pub: Publication, field: str) -> list:
+    if field == "year":
+        return [pub.year] if pub.year is not None else []
+    if field == "date_inserted":
+        return [pub.date_inserted] if pub.date_inserted is not None else []
+    if field == "journal_title":
+        return [pub.journal_title] if pub.journal_title is not None else []
+    if field == "doc_type":
+        return [pub.doc_type] if pub.doc_type is not None else []
+    if field == "id":
+        return [pub.id]
+    if field == "research_orgs":
+        return list(pub.research_orgs)
+    if field == "concept":
+        return [m.concept for m in pub.concepts]
+    raise KeyError(field)
+
+
+def matches(expr: Expr, pub: Publication, today: date) -> bool:
+    if isinstance(expr, OrExpr):
+        return matches(expr.left, pub, today) or matches(expr.right, pub, today)
+    if isinstance(expr, AndExpr):
+        return matches(expr.left, pub, today) and matches(expr.right, pub, today)
+    if isinstance(expr, NotExpr):
+        return not matches(expr.operand, pub, today)
+    if isinstance(expr, Comparison):
+        op = _OPS[expr.op]
+        return any(op(value, expr.value) for value in field_values(pub, expr.field))
+    if isinstance(expr, Membership):
+        return any(value in expr.values for value in field_values(pub, expr.field))
+    if isinstance(expr, DateWindow):
+        cutoff = today - timedelta(days=expr.days)
+        return any(value >= cutoff for value in field_values(pub, expr.field))
+    if isinstance(expr, IdFilter):
+        return pub.id in expr.ids
+    raise TypeError(f"not a query expression: {expr!r}")
+
+
+def reference_ids(expr: Expr, corpus: Corpus, today: date) -> frozenset[str]:
+    return frozenset(pid for pid, pub in corpus.publications.items() if matches(expr, pub, today))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bibnet.corpus import ConceptMention, Organisation, Publication, build_corpus
 from bibnet.network import (
     CONCEPT,
+    KINDS,
     ORGANISATION,
     NetworkParams,
     build_concept_network,
@@ -213,6 +214,23 @@ def test_builders_match_brute_force(seed):
         assert build_network(corpus, subset, kind, params) == brute_force_network(
             corpus, subset, kind, params
         )
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_subset_ids_absent_from_corpus_are_ignored(seed):
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, max_pubs=30)
+    subset = random_subset(rng, corpus)
+    foreign = {f"missing.{i}" for i in range(rng.randint(1, 5))}
+    padded = make_subset(subset.ids | foreign, subset.query_name)
+    params = random_params(rng)
+    for kind in KINDS:
+        expected = brute_force_network(corpus, subset, kind, params)
+        assert top_nodes(corpus, padded, kind, params) == list(expected.nodes)
+        got = build_network(corpus, padded, kind, params)
+        assert got == expected
+        assert got.subset_size == len(subset.ids)
 
 
 @given(st.integers(0, 2**32 - 1))

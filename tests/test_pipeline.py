@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from datetime import date
 
 import pytest
@@ -120,6 +121,22 @@ def test_reruns_differ_only_in_timestamps(tmp_path):
             first["bibnet_meta"].pop("generated_at")
             second["bibnet_meta"].pop("generated_at")
         assert first == second
+
+
+def test_rerun_after_deleting_a_query_prunes_its_networks(fixtures_dir, tmp_path):
+    query_dir = tmp_path / "queries"
+    shutil.copytree(fixtures_dir / "queries", query_dir)
+    config = make_config(
+        tmp_path,
+        corpus_paths=(str(fixtures_dir / "corpus"),),
+        query_dir=str(query_dir),
+    )
+    run_all(config)
+    assert list((tmp_path / "out" / "networks").glob("recent__*.json"))
+    (query_dir / "recent.nql").unlink()
+    run_all(config)
+    assert not list((tmp_path / "out" / "networks").glob("recent__*.json"))
+    assert validate_bundle(tmp_path / "out") == []
 
 
 def test_fatal_ingest_propagates(tmp_path):

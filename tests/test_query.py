@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from datetime import date
 
 import pytest
@@ -12,7 +13,9 @@ from bibnet.query import (
     AndExpr,
     Comparison,
     DateWindow,
+    Expr,
     IdFilter,
+    Membership,
     NoRunnableQueriesError,
     NotExpr,
     OrExpr,
@@ -27,6 +30,7 @@ from bibnet.query import (
 )
 
 from gen import random_corpus, random_expr
+from query_reference import reference_ids
 
 TODAY = date(2022, 5, 1)
 
@@ -154,6 +158,50 @@ def test_multivalued_fields_match_any_element():
     ).ids == {"p1", "p2"}
 
 
+def test_not_equal_on_multivalued_fields_needs_one_differing_element():
+    pubs = [
+        Publication(id="twice", research_orgs=("grid.1", "grid.1")),
+        Publication(id="mixed", research_orgs=("grid.1", "grid.2")),
+        Publication(id="none"),
+    ]
+    corpus = build_corpus(pubs, [])
+    assert eval_query(parse_query('research_orgs != "grid.1"'), corpus, TODAY).ids == {"mixed"}
+
+
+def _best_time(expr: Expr, corpus, repeats: int = 3) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        eval_query(as_query(expr), corpus, TODAY)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_long_value_lists_cost_no_more_per_record_than_short_ones():
+    n_pubs = 50_000
+    pubs = [
+        Publication(id=f"pub.{i}", research_orgs=(f"grid.{i % 9973}", f"grid.{i % 7919}"))
+        for i in range(n_pubs)
+    ]
+    corpus = build_corpus(pubs, [])
+    cases = [
+        (
+            Membership("research_orgs", tuple(f"grid.{v}" for v in range(0, 10_000, 2))),
+            Membership("research_orgs", tuple(f"grid.{v}" for v in range(0, 10, 2))),
+        ),
+        (
+            IdFilter(tuple(f"pub.{i}" for i in range(0, n_pubs, 10))),
+            IdFilter(tuple(f"pub.{i}" for i in range(0, 50, 10))),
+        ),
+    ]
+    for long_expr, short_expr in cases:
+        short = _best_time(short_expr, corpus)
+        long = _best_time(long_expr, corpus)
+        # scanning the list once per record would make the 5,000-value
+        # lists cost hundreds of times the 5-value ones
+        assert long < 5 * short + 0.05, (type(long_expr).__name__, long, short)
+
+
 # --- query folders -----------------------------------------------------------
 
 
@@ -233,3 +281,30 @@ def test_evaluation_is_deterministic(seed):
     first = eval_query(query, corpus, TODAY).ids
     second = eval_query(query, corpus, TODAY).ids
     assert first == second
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_compiled_evaluation_matches_reference(seed):
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, max_pubs=30)
+    pubs = list(corpus.publications.values())
+    pub = rng.choice(pubs)
+    exprs = [random_expr(rng, rng.randint(0, 4)) for _ in range(4)]
+    # leaves the random ASTs reach only by chance: != on multi-valued
+    # fields (repeated org listings included) and missing optional fields
+    exprs += [
+        Comparison("research_orgs", "!=", rng.choice(pub.research_orgs or ("grid.1000.0",))),
+        Comparison("concept", "!=", pub.concepts[0].concept if pub.concepts else "topic-0"),
+        NotExpr(Comparison("year", ">=", 1000)),
+        Comparison("journal_title", "!=", "Nature"),
+        NotExpr(Comparison("doc_type", "==", "article")),
+        Membership("doc_type", ("article", "preprint")),
+    ]
+    # a window whose lower bound falls exactly on an inserted date
+    earlier = [p.date_inserted for p in pubs if p.date_inserted and p.date_inserted < TODAY]
+    if earlier:
+        exprs.append(DateWindow("date_inserted", (TODAY - rng.choice(earlier)).days))
+    for expr in exprs:
+        got = eval_query(as_query(expr), corpus, TODAY).ids
+        assert got == reference_ids(expr, corpus, TODAY), print_query(expr)
