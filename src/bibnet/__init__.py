@@ -3,8 +3,9 @@
 Pipeline: ingest exported records into a :class:`~bibnet.corpus.Corpus`,
 select publication subsets with the query DSL, build organisation
 collaboration or concept co-word networks, and export VOSviewer-ready
-JSON bundles. For cloud users, :mod:`bibnet.sqlgen` renders the
-equivalent parameterized BigQuery SQL instead.
+JSON bundles. For cloud users, :mod:`bibnet.sqlgen` renders
+parameterized BigQuery SQL for the same networks, whose ``top_nodes`` step
+differs as :mod:`bibnet.network` states.
 """
 
 from bibnet.version import ENGINE_VERSION as __version__

@@ -23,6 +23,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -294,7 +295,7 @@ def parse_organisation(record: dict) -> Organisation:
     return Organisation(id=oid, name=name, country_code=country)
 
 
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | _RecordError]]:
+def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -302,12 +303,12 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | _RecordError]]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                yield line_no, _RecordError(f"invalid JSON: {exc.msg}")
+                yield line_no, _RecordError(f"invalid JSON: {exc.msg}"), False
                 continue
             if not isinstance(record, dict):
-                yield line_no, _RecordError("record is not an object")
+                yield line_no, _RecordError("record is not an object"), False
                 continue
-            yield line_no, record
+            yield line_no, record, "name" in record
 
 
 def _split_list_cell(cell: str) -> list[str]:
@@ -383,6 +384,59 @@ def expand_corpus_paths(paths: Iterable[str | Path]) -> list[Path]:
     return out
 
 
+def _assemble(records: Iterable[Publication | Organisation], provenance: Provenance) -> Corpus:
+    """Build a Corpus from records in the order given.
+
+    A repeated publication id aborts with :class:`DuplicateIdError`;
+    organisations may be re-listed only with identical payloads. Zero
+    publications aborts with :class:`EmptyCorpusError`. Org ids that no
+    organisation resolves are kept in ``unresolved_orgs``.
+    """
+    publications: dict[str, Publication] = {}
+    organisations: dict[str, Organisation] = {}
+    for record in records:
+        if isinstance(record, Organisation):
+            # identical re-listing across export files is harmless;
+            # conflicting payloads are structural corruption
+            if organisations.setdefault(record.id, record) != record:
+                raise DuplicateIdError("organisation", record.id)
+        else:
+            if not record.id:
+                raise CorpusError("publication id must be non-empty")
+            if record.id in publications:
+                raise DuplicateIdError("publication", record.id)
+            publications[record.id] = record
+    if not publications:
+        raise EmptyCorpusError()
+    referenced = {oid for pub in publications.values() for oid in pub.research_orgs}
+    return Corpus(
+        publications=publications,
+        organisations=organisations,
+        unresolved_orgs=frozenset(referenced - organisations.keys()),
+        provenance=provenance,
+    )
+
+
+def _parse_files(
+    files: list[Path], format: str | None, report: IngestReport
+) -> Iterator[Publication | Organisation]:
+    """Valid records of every file in order; malformed rows are skipped and
+    counted in ``report``."""
+    for path in files:
+        source = str(path)
+        rows = _iter_jsonl(path) if _detect_format(path, format) == "jsonl" else _iter_csv(path)
+        for line_no, item, is_org in rows:
+            report.rows_total += 1
+            try:
+                if isinstance(item, _RecordError):
+                    raise item
+                record = parse_organisation(item) if is_org else parse_publication(item)
+            except _RecordError as exc:
+                report.record_skip(source, line_no, str(exc))
+                continue
+            yield record
+
+
 def ingest(paths: Iterable[str | Path], format: str | None = None) -> tuple[Corpus, IngestReport]:
     """Ingest exported files into a validated Corpus.
 
@@ -396,69 +450,13 @@ def ingest(paths: Iterable[str | Path], format: str | None = None) -> tuple[Corp
         raise EmptyCorpusError()
 
     report = IngestReport(files=[str(p) for p in files])
-    publications: dict[str, Publication] = {}
-    organisations: dict[str, Organisation] = {}
-
-    def add_record(record: dict, source: str, line_no: int, is_org: bool) -> None:
-        if is_org:
-            org = parse_organisation(record)
-            existing = organisations.get(org.id)
-            if existing is not None:
-                # identical re-listing across export files is harmless;
-                # conflicting payloads are structural corruption
-                if existing != org:
-                    raise DuplicateIdError("organisation", org.id)
-                return
-            organisations[org.id] = org
-            report.organisations += 1
-        else:
-            pub = parse_publication(record)
-            if pub.id in publications:
-                raise DuplicateIdError("publication", pub.id)
-            publications[pub.id] = pub
-            report.publications += 1
-
-    for path in files:
-        fmt = _detect_format(path, format)
-        source = str(path)
-        if fmt == "jsonl":
-            for line_no, item in _iter_jsonl(path):
-                report.rows_total += 1
-                if isinstance(item, _RecordError):
-                    report.record_skip(source, line_no, str(item))
-                    continue
-                is_org = "name" in item
-                try:
-                    add_record(item, source, line_no, is_org)
-                except _RecordError as exc:
-                    report.record_skip(source, line_no, str(exc))
-        else:
-            for line_no, item, is_org in _iter_csv(path):
-                report.rows_total += 1
-                if isinstance(item, _RecordError):
-                    report.record_skip(source, line_no, str(item))
-                    continue
-                try:
-                    add_record(item, source, line_no, is_org)
-                except _RecordError as exc:
-                    report.record_skip(source, line_no, str(exc))
-
-    if not publications:
-        raise EmptyCorpusError()
-
-    referenced = {org_id for pub in publications.values() for org_id in pub.research_orgs}
-    unresolved = frozenset(referenced - organisations.keys())
-    report.unresolved_org_count = len(unresolved)
-
-    corpus = Corpus(
-        publications=publications,
-        organisations=organisations,
-        unresolved_orgs=unresolved,
-        provenance=Provenance(
-            sources=tuple(str(p) for p in files),
-            ingested_at=datetime.now(timezone.utc),
-        ),
+    corpus = _assemble(
+        _parse_files(files, format, report),
+        Provenance(sources=tuple(report.files), ingested_at=datetime.now(timezone.utc)),
     )
+    report.publications = len(corpus.publications)
+    report.organisations = len(corpus.organisations)
+    report.unresolved_org_count = len(corpus.unresolved_orgs)
     return corpus, report
 
 
@@ -468,26 +466,9 @@ def build_corpus(
     sources: tuple[str, ...] = ("<memory>",),
 ) -> Corpus:
     """Assemble a Corpus from already-constructed records (tests, synthesis)."""
-    pubs: dict[str, Publication] = {}
-    orgs: dict[str, Organisation] = {}
-    for pub in publications:
-        if not pub.id:
-            raise CorpusError("publication id must be non-empty")
-        if pub.id in pubs:
-            raise DuplicateIdError("publication", pub.id)
-        pubs[pub.id] = pub
-    for org in organisations:
-        if org.id in orgs and orgs[org.id] != org:
-            raise DuplicateIdError("organisation", org.id)
-        orgs[org.id] = org
-    if not pubs:
-        raise EmptyCorpusError()
-    referenced = {oid for pub in pubs.values() for oid in pub.research_orgs}
-    return Corpus(
-        publications=pubs,
-        organisations=orgs,
-        unresolved_orgs=frozenset(referenced - orgs.keys()),
-        provenance=Provenance(sources=sources, ingested_at=datetime.now(timezone.utc)),
+    return _assemble(
+        chain(publications, organisations),
+        Provenance(sources=sources, ingested_at=datetime.now(timezone.utc)),
     )
 
 
@@ -496,18 +477,14 @@ def merge_corpora(a: Corpus, b: Corpus) -> Corpus:
     overlap = a.publications.keys() & b.publications.keys()
     if overlap:
         raise DuplicateIdError("publication", sorted(overlap)[0])
-    orgs = dict(a.organisations)
-    for oid, org in b.organisations.items():
-        if oid in orgs and orgs[oid] != org:
-            raise DuplicateIdError("organisation", oid)
-        orgs[oid] = org
-    pubs = {**a.publications, **b.publications}
-    referenced = {oid for pub in pubs.values() for oid in pub.research_orgs}
-    return Corpus(
-        publications=pubs,
-        organisations=orgs,
-        unresolved_orgs=frozenset(referenced - orgs.keys()),
-        provenance=Provenance(
+    return _assemble(
+        chain(
+            a.publications.values(),
+            b.publications.values(),
+            a.organisations.values(),
+            b.organisations.values(),
+        ),
+        Provenance(
             sources=a.provenance.sources + b.provenance.sources,
             ingested_at=max(a.provenance.ingested_at, b.provenance.ingested_at),
         ),

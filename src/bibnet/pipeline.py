@@ -13,7 +13,7 @@ from datetime import date
 from pathlib import Path
 
 from bibnet.corpus import IngestReport, corpus_stats, ingest
-from bibnet.network import KINDS, NetworkParams, build_network
+from bibnet.network import KINDS, NetworkParams, _check_kind, build_network
 from bibnet.query import eval_query, load_query_folder
 from bibnet.version import ENGINE_VERSION
 from bibnet.vos import now_stamp, to_vos_json, write_bundle
@@ -35,8 +35,7 @@ class RunConfig:
         if not self.kinds:
             raise ValueError("at least one network kind is required")
         for kind in self.kinds:
-            if kind not in KINDS:
-                raise ValueError(f"unknown network kind {kind!r}")
+            _check_kind(kind)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from bibnet.network import CONCEPT, KINDS, ORGANISATION, NetworkParams
+from bibnet.network import CONCEPT, ORGANISATION, NetworkParams, _check_kind
 
 DEFAULT_DATASET_PREFIX = "covid-19-dimensions-ai.data"
 SUBQUERY_PLACEHOLDER = "{user-provided-subquery}"
@@ -38,8 +38,7 @@ class RenderedSql:
 
 
 def load_template(kind: str) -> str:
-    if kind not in _TEMPLATE_FILES:
-        raise ValueError(f"unknown template kind {kind!r} (expected one of {KINDS})")
+    _check_kind(kind)
     return (
         resources.files("bibnet.templates").joinpath(_TEMPLATE_FILES[kind]).read_text("utf-8")
     )

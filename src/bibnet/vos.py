@@ -17,12 +17,9 @@ import re
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
-from bibnet.network import Network, NetworkParams, kind_slug
+from bibnet.network import KINDS, Network, kind_slug
 from bibnet.version import ENGINE_VERSION
 
 META_KEY = "bibnet_meta"
@@ -39,35 +36,16 @@ class BundleLockError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class VosItem:
-    id: int
-    label: str
-    documents: int
-
-
-@dataclass(frozen=True, slots=True)
-class VosLink:
-    source_id: int
-    target_id: int
-    strength: int
-
-
-@dataclass(frozen=True, slots=True)
-class VosMetadata:
-    query_name: str
-    kind: str
-    params: NetworkParams
-    subset_size: int
-    generated_at: str
-    engine_version: str
-
-
 @dataclass(frozen=True)
 class VosDocument:
-    items: tuple[VosItem, ...]
-    links: tuple[VosLink, ...]
-    metadata: VosMetadata
+    """A network document held as the JSON it is written as: ``items`` and
+    ``links`` are the lists under ``network``, ``meta`` is the
+    ``bibnet_meta`` object. ``document_to_dict`` and ``document_from_dict``
+    share these parts with the dict rather than copy them."""
+
+    items: list[dict]
+    links: list[dict]
+    meta: dict
 
 
 def now_stamp() -> str:
@@ -80,106 +58,139 @@ def to_vos_json(network: Network, generated_at: str | None = None) -> VosDocumen
     Nodes become items in their ranked order with ids 1..N; each canonical
     edge becomes one link whose endpoints are ordered source_id < target_id.
     """
-    items = tuple(
-        VosItem(id=i, label=node.label, documents=node.pubs)
-        for i, node in enumerate(network.nodes, start=1)
-    )
     node_ids = {node.key: i for i, node in enumerate(network.nodes, start=1)}
+    items = [
+        {"id": i, "label": node.label, "weights": {DOCUMENTS_WEIGHT: node.pubs}}
+        for i, node in enumerate(network.nodes, start=1)
+    ]
     links = []
     for edge in network.edges:
         ia, ib = node_ids[edge.a], node_ids[edge.b]
-        links.append(
-            VosLink(source_id=min(ia, ib), target_id=max(ia, ib), strength=edge.weight)
-        )
-    return VosDocument(
-        items=items,
-        links=tuple(links),
-        metadata=VosMetadata(
-            query_name=network.name,
-            kind=network.kind,
-            params=network.params,
-            subset_size=network.subset_size,
-            generated_at=generated_at if generated_at is not None else now_stamp(),
-            engine_version=ENGINE_VERSION,
-        ),
-    )
+        links.append({"source_id": min(ia, ib), "target_id": max(ia, ib), "strength": edge.weight})
+    meta = {
+        "query_name": network.name,
+        "kind": network.kind,
+        "params": network.params.to_dict(),
+        "subset_size": network.subset_size,
+        "generated_at": generated_at if generated_at is not None else now_stamp(),
+        "engine_version": ENGINE_VERSION,
+    }
+    return VosDocument(items=items, links=links, meta=meta)
 
 
 def document_to_dict(doc: VosDocument) -> dict:
-    return {
-        "network": {
-            "items": [
-                {"id": it.id, "label": it.label, "weights": {DOCUMENTS_WEIGHT: it.documents}}
-                for it in doc.items
-            ],
-            "links": [
-                {"source_id": ln.source_id, "target_id": ln.target_id, "strength": ln.strength}
-                for ln in doc.links
-            ],
-        },
-        META_KEY: {
-            "query_name": doc.metadata.query_name,
-            "kind": doc.metadata.kind,
-            "params": doc.metadata.params.to_dict(),
-            "subset_size": doc.metadata.subset_size,
-            "generated_at": doc.metadata.generated_at,
-            "engine_version": doc.metadata.engine_version,
-        },
-    }
+    return {"network": {"items": doc.items, "links": doc.links}, META_KEY: doc.meta}
 
 
 def document_from_dict(data: dict) -> VosDocument:
-    meta = data[META_KEY]
-    return VosDocument(
-        items=tuple(
-            VosItem(id=it["id"], label=it["label"], documents=it["weights"][DOCUMENTS_WEIGHT])
-            for it in data["network"]["items"]
-        ),
-        links=tuple(
-            VosLink(
-                source_id=ln["source_id"],
-                target_id=ln["target_id"],
-                strength=ln["strength"],
-            )
-            for ln in data["network"]["links"]
-        ),
-        metadata=VosMetadata(
-            query_name=meta["query_name"],
-            kind=meta["kind"],
-            params=NetworkParams(**meta["params"]),
-            subset_size=meta["subset_size"],
-            generated_at=meta["generated_at"],
-            engine_version=meta["engine_version"],
-        ),
-    )
+    return VosDocument(data["network"]["items"], data["network"]["links"], data[META_KEY])
 
 
 def dumps_document(doc: VosDocument) -> str:
     return json.dumps(document_to_dict(doc), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _schema() -> dict:
-    return json.loads(resources.files("bibnet").joinpath("vos_schema.json").read_text("utf-8"))
+def _integer(value: object) -> bool:
+    """JSON Schema "integer": bools are not; a float is when its fraction is zero."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def validate_document_dict(data: dict) -> list[str]:
-    """Independent validator pass over a parsed document; returns problems."""
+def _number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive(value: object) -> bool:
+    return _integer(value) and value >= 1
+
+
+def _weights(value: object) -> bool:
+    return (
+        isinstance(value, dict)
+        and _positive(value.get(DOCUMENTS_WEIGHT))
+        and all(_number(v) for k, v in value.items() if k != DOCUMENTS_WEIGHT)
+    )
+
+
+# The rules of vos_schema.json. A field maps to a (test, expected) pair, or
+# to the field table of a nested object; every field of a table is required
+# and no other key is allowed.
+_POSITIVE = (_positive, "an integer >= 1")
+_TEXT = (lambda v: isinstance(v, str) and len(v) >= 1, "a non-empty string")
+_ARRAY = (lambda v: isinstance(v, list), "an array")
+_ITEM_FIELDS = {
+    "id": _POSITIVE,
+    "label": _TEXT,
+    "weights": (_weights, f"an object of numbers with an integer {DOCUMENTS_WEIGHT!r} >= 1"),
+}
+_LINK_FIELDS = {"source_id": _POSITIVE, "target_id": _POSITIVE, "strength": _POSITIVE}
+_DOCUMENT_FIELDS = {
+    "network": {"items": _ARRAY, "links": _ARRAY},
+    META_KEY: {
+        "engine_version": _TEXT,
+        "generated_at": _TEXT,
+        "kind": (lambda v: v in KINDS, f"one of {KINDS}"),
+        "params": {
+            "max_nodes": _POSITIVE,
+            "min_edge_weight": _POSITIVE,
+            "concept_min_relevance": (lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+        },
+        "query_name": (lambda v: isinstance(v, str), "a string"),
+        "subset_size": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
+    },
+}
+
+
+def _check_fields(value: object, fields: dict, path: str, problems: list[str]) -> bool:
+    """Check one JSON object against a field table; True when it passes."""
+    if not isinstance(value, dict):
+        problems.append(f"schema: {path}: {value!r} is not an object")
+        return False
+    count = len(problems)
+    for key in fields:
+        if key not in value:
+            problems.append(f"schema: {path}: missing required key {key!r}")
+    for key, field_value in value.items():
+        rule = fields.get(key)
+        where = f"{path}/{key}" if path else key
+        if rule is None:
+            problems.append(f"schema: {path}: unexpected key {key!r}")
+        elif isinstance(rule, dict):
+            _check_fields(field_value, rule, where, problems)
+        elif not rule[0](field_value):
+            problems.append(f"schema: {where}: {field_value!r} is not {rule[1]}")
+    return len(problems) == count
+
+
+def validate_document_dict(data: object) -> list[str]:
+    """Check a parsed document against every rule of ``vos_schema.json``
+    and for link integrity, in one pass; returns problems.
+
+    Schema problems carry a ``schema: <path>:`` prefix. Items and links are
+    checked once the top level, ``network`` and ``bibnet_meta`` pass.
+    Integrity checks (consecutive item ids, link endpoints, self loops,
+    duplicate pairs, strengths below ``min_edge_weight``) apply only to
+    schema-valid items and links.
+    """
     problems: list[str] = []
-    validator = jsonschema.Draft202012Validator(_schema())
-    for error in sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path)):
-        problems.append(f"schema: {'/'.join(str(p) for p in error.absolute_path)}: {error.message}")
-    if problems:
+    if not _check_fields(data, _DOCUMENT_FIELDS, "", problems):
         return problems
-
     items = data["network"]["items"]
     links = data["network"]["links"]
-    ids = [it["id"] for it in items]
+    for n, item in enumerate(items):
+        _check_fields(item, _ITEM_FIELDS, f"network/items/{n}", problems)
+    # link endpoints are judged only against a schema-valid item list
+    items_ok = not problems
+    ids = [it["id"] for it in items] if items_ok else []
     if ids != list(range(1, len(ids) + 1)):
         problems.append("item ids are not consecutive from 1")
     valid_ids = set(ids)
     seen_pairs: set[tuple[int, int]] = set()
     min_weight = data[META_KEY]["params"]["min_edge_weight"]
-    for ln in links:
+    for n, ln in enumerate(links):
+        if not _check_fields(ln, _LINK_FIELDS, f"network/links/{n}", problems) or not items_ok:
+            continue
         s, t = ln["source_id"], ln["target_id"]
         if s not in valid_ids or t not in valid_ids:
             problems.append(f"link ({s}, {t}) references a missing item id")
@@ -271,8 +282,8 @@ def write_bundle(
         entries: list[dict] = []
         collisions: list[dict] = []
         for doc in documents:
-            slug = slugify(doc.metadata.query_name)
-            suffix = kind_slug(doc.metadata.kind)
+            slug = slugify(doc.meta["query_name"])
+            suffix = kind_slug(doc.meta["kind"])
             name = f"{slug}__{suffix}.json"
             counter = 2
             while name in assigned:
@@ -286,11 +297,11 @@ def write_bundle(
             entries.append(
                 {
                     "file": rel_path,
-                    "query": doc.metadata.query_name,
-                    "kind": doc.metadata.kind,
+                    "query": doc.meta["query_name"],
+                    "kind": doc.meta["kind"],
                     "nodes": len(doc.items),
                     "edges": len(doc.links),
-                    "subset_size": doc.metadata.subset_size,
+                    "subset_size": doc.meta["subset_size"],
                 }
             )
         manifest = BundleManifest(
@@ -377,9 +388,16 @@ def validate_bundle(directory: str | Path) -> list[str]:
     except json.JSONDecodeError as exc:
         return [f"{MANIFEST_FILE} is not valid JSON: {exc.msg}"]
 
+    networks = manifest.get("networks", []) if isinstance(manifest, dict) else None
+    if not isinstance(networks, list):
+        return [f"{MANIFEST_FILE} is not an object with a 'networks' list"]
+
     listed = set()
-    for entry in manifest.get("networks", []):
-        rel = entry.get("file", "")
+    for n, entry in enumerate(networks):
+        rel = entry.get("file") if isinstance(entry, dict) else None
+        if not isinstance(rel, str):
+            problems.append(f"{MANIFEST_FILE}: networks entry {n} has no string 'file'")
+            continue
         listed.add(rel)
         path = root / rel
         if not path.is_file():
@@ -390,8 +408,10 @@ def validate_bundle(directory: str | Path) -> list[str]:
         except json.JSONDecodeError as exc:
             problems.append(f"{rel}: not valid JSON: {exc.msg}")
             continue
-        for problem in validate_document_dict(data):
-            problems.append(f"{rel}: {problem}")
+        document_problems = validate_document_dict(data)
+        problems.extend(f"{rel}: {problem}" for problem in document_problems)
+        if any(problem.startswith("schema:") for problem in document_problems):
+            continue  # counts are compared only for a schema-valid document
         if entry.get("nodes") != len(data["network"]["items"]):
             problems.append(f"{rel}: manifest node count disagrees with file")
         if entry.get("edges") != len(data["network"]["links"]):

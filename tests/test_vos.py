@@ -1,12 +1,25 @@
 from __future__ import annotations
 
+import copy
 import json
+import os
 import random
+import subprocess
+import sys
+from importlib import resources
 
 import pytest
 
+from bibnet.cli import main
 from bibnet.corpus import Organisation, Publication, build_corpus
-from bibnet.network import CONCEPT, Network, NetworkParams, build_org_network
+from bibnet.network import (
+    CONCEPT,
+    KINDS,
+    Network,
+    NetworkParams,
+    build_network,
+    build_org_network,
+)
 from bibnet.vos import (
     BundleLockError,
     LOCK_FILE,
@@ -32,13 +45,13 @@ def abc_network(abc_corpus, **params_kwargs) -> Network:
 
 def test_three_org_network_maps_to_items_and_links(abc_corpus):
     doc = to_vos_json(abc_network(abc_corpus), generated_at=STAMP)
-    assert [it.id for it in doc.items] == [1, 2, 3]
-    assert [it.label for it in doc.items] == ["Org A (A)", "Org B (B)", "Org C (C)"]
-    assert [it.documents for it in doc.items] == [3, 2, 1]
+    assert [it["id"] for it in doc.items] == [1, 2, 3]
+    assert [it["label"] for it in doc.items] == ["Org A (A)", "Org B (B)", "Org C (C)"]
+    assert [it["weights"]["Documents"] for it in doc.items] == [3, 2, 1]
     assert len(doc.links) == 3
-    assert sorted(ln.strength for ln in doc.links) == [1, 1, 2]
+    assert sorted(ln["strength"] for ln in doc.links) == [1, 1, 2]
     for ln in doc.links:
-        assert 1 <= ln.source_id < ln.target_id <= 3
+        assert 1 <= ln["source_id"] < ln["target_id"] <= 3
 
 
 def test_empty_network_is_schema_valid():
@@ -59,7 +72,7 @@ def test_label_carries_parenthesized_id_verbatim():
         corpus, make_subset(corpus.publications), NetworkParams(min_edge_weight=1)
     )
     doc = to_vos_json(network, generated_at=STAMP)
-    assert doc.items[0].label == "Harvard University (grid.38142.3c)"
+    assert doc.items[0]["label"] == "Harvard University (grid.38142.3c)"
 
 
 def test_round_trip_through_emitted_json(abc_corpus):
@@ -91,6 +104,107 @@ def test_validator_flags_broken_documents(abc_corpus):
     data = document_to_dict(to_vos_json(abc_network(abc_corpus), generated_at=STAMP))
     del data["bibnet_meta"]["params"]
     assert any(p.startswith("schema:") for p in validate_document_dict(data))
+
+
+# Values swapped into documents by the differential check: each JSON type,
+# integral and fractional floats, bounds of the schema's minimums, infinity.
+MUTANT_VALUES = (
+    0, -1, 1, 2, 1.0, 2.5, True, False, None, "", "x", "concept", [], {}, float("inf")
+)
+
+
+def _locations(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _locations(child, path + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _locations(child, path + (index,))
+
+
+def _mutate(rng: random.Random, data):
+    """Swap a value, drop a key or add a key, one to three times."""
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_locations(data)))
+        if not path:
+            if rng.random() < 0.1:
+                data = rng.choice(MUTANT_VALUES)
+            elif isinstance(data, dict):
+                data[rng.choice(["extra", "network"])] = rng.choice(MUTANT_VALUES)
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]]
+        roll = rng.random()
+        if roll < 0.6:
+            parent[path[-1]] = copy.copy(rng.choice(MUTANT_VALUES))
+        elif roll < 0.8 and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif isinstance(target, dict):
+            target[rng.choice(["extra", "Links", "id"])] = copy.copy(rng.choice(MUTANT_VALUES))
+    return data
+
+
+def _base_documents(rng: random.Random) -> list[dict]:
+    docs = []
+    for _ in range(12):
+        corpus = random_corpus(rng, max_pubs=8)
+        params = NetworkParams(max_nodes=4, min_edge_weight=1)
+        network = build_network(corpus, random_subset(rng, corpus), rng.choice(KINDS), params)
+        docs.append(document_to_dict(to_vos_json(network, generated_at=STAMP)))
+    docs[0]["network"]["items"][:1] = [
+        {"id": 1, "label": "a", "weights": {"Documents": 2, "Links": 1.5}}
+    ]
+    return docs
+
+
+def test_hand_validator_agrees_with_jsonschema_on_mutated_documents():
+    import jsonschema
+
+    schema = json.loads(resources.files("bibnet").joinpath("vos_schema.json").read_text("utf-8"))
+    oracle = jsonschema.Draft202012Validator(schema)
+    rng = random.Random(11)
+    bases = _base_documents(rng)
+    outcomes = set()
+    for trial in range(3000):
+        data = _mutate(rng, copy.deepcopy(rng.choice(bases)))
+        hand = any(p.startswith("schema:") for p in validate_document_dict(data))
+        expected = next(oracle.iter_errors(data), None) is not None
+        assert hand == expected, (trial, data)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_nan_relevance_is_rejected_by_hand_validator_only(abc_corpus):
+    import jsonschema
+
+    schema = json.loads(resources.files("bibnet").joinpath("vos_schema.json").read_text("utf-8"))
+    data = document_to_dict(to_vos_json(abc_network(abc_corpus), generated_at=STAMP))
+    data["bibnet_meta"]["params"]["concept_min_relevance"] = float("nan")
+    assert jsonschema.Draft202012Validator(schema).is_valid(data)
+    assert any(
+        p.startswith("schema: bibnet_meta/params/concept_min_relevance:")
+        for p in validate_document_dict(data)
+    )
+
+
+def test_integer_fields_follow_json_schema(abc_corpus):
+    data = document_to_dict(to_vos_json(abc_network(abc_corpus), generated_at=STAMP))
+    data["network"]["items"][0]["id"] = 1.0
+    data["bibnet_meta"]["subset_size"] = 0.0
+    assert validate_document_dict(data) == []
+    data["network"]["links"][0]["strength"] = True
+    assert validate_document_dict(data) == [
+        "schema: network/links/0/strength: True is not an integer >= 1"
+    ]
+
+
+def test_cli_import_leaves_jsonschema_out():
+    code = "import sys, bibnet.cli; sys.exit('jsonschema' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_slug_rule():
@@ -207,3 +321,24 @@ def test_validate_bundle_reports_unlisted_and_missing(abc_corpus, tmp_path):
 
 def test_validate_bundle_without_manifest(tmp_path):
     assert validate_bundle(tmp_path) == [f"missing manifest.json in {tmp_path}"]
+
+
+@pytest.mark.parametrize(
+    "target, text, expected",
+    [
+        ("networks/demo__org.json", "{}", "demo__org.json: schema: : missing required key"),
+        ("networks/demo__org.json", "[]", "demo__org.json: schema: : [] is not an object"),
+        ("manifest.json", "[]", "manifest.json is not an object with a 'networks' list"),
+        ("manifest.json", '{"networks": 3}', "manifest.json is not an object"),
+        ("manifest.json", '{"networks": ["networks/x.json"]}', "entry 0 has no string 'file'"),
+        ("manifest.json", '{"networks": [{"file": 5}]}', "entry 0 has no string 'file'"),
+    ],
+)
+def test_validate_reports_malformed_bundle_files(
+    abc_corpus, tmp_path, capsys, target, text, expected
+):
+    write_bundle([to_vos_json(abc_network(abc_corpus), generated_at=STAMP)], tmp_path)
+    (tmp_path / target).write_text(text, encoding="utf-8")
+    assert any(expected in p for p in validate_bundle(tmp_path))
+    assert main(["validate", "--dir", str(tmp_path)]) == 1
+    assert expected in capsys.readouterr().err
