@@ -22,7 +22,6 @@ from bibnet.corpus import (
     build_corpus,
     corpus_stats,
     ingest,
-    merge_corpora,
 )
 from bibnet.network import (
     CONCEPT,
@@ -32,9 +31,7 @@ from bibnet.network import (
     Network,
     NetworkParams,
     Node,
-    build_concept_network,
     build_network,
-    build_org_network,
     top_nodes,
 )
 from bibnet.pipeline import RunConfig, RunReport, run_all
@@ -69,7 +66,6 @@ __all__ = [
     "build_corpus",
     "corpus_stats",
     "ingest",
-    "merge_corpora",
     "CONCEPT",
     "KINDS",
     "ORGANISATION",
@@ -77,9 +73,7 @@ __all__ = [
     "Network",
     "NetworkParams",
     "Node",
-    "build_concept_network",
     "build_network",
-    "build_org_network",
     "top_nodes",
     "RunConfig",
     "RunReport",

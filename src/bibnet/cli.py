@@ -58,30 +58,29 @@ def _parse_kinds(value: str) -> tuple[str, ...]:
 
 
 def _add_params_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-nodes", type=int, default=None, help="node cap per network")
+    defaults = NetworkParams()
     parser.add_argument(
-        "--min-edge-weight", type=int, default=None, help="drop edges below this weight"
+        "--max-nodes", type=int, default=defaults.max_nodes, help="node cap per network"
+    )
+    parser.add_argument(
+        "--min-edge-weight",
+        type=int,
+        default=defaults.min_edge_weight,
+        help="drop edges below this weight",
     )
     parser.add_argument(
         "--concept-min-relevance",
         type=float,
-        default=None,
+        default=defaults.concept_min_relevance,
         help="relevance gate for concept mentions (concept networks only)",
     )
 
 
 def _params_from_args(args: argparse.Namespace) -> NetworkParams:
-    defaults = NetworkParams()
     return NetworkParams(
-        max_nodes=args.max_nodes if args.max_nodes is not None else defaults.max_nodes,
-        min_edge_weight=(
-            args.min_edge_weight if args.min_edge_weight is not None else defaults.min_edge_weight
-        ),
-        concept_min_relevance=(
-            args.concept_min_relevance
-            if args.concept_min_relevance is not None
-            else defaults.concept_min_relevance
-        ),
+        max_nodes=args.max_nodes,
+        min_edge_weight=args.min_edge_weight,
+        concept_min_relevance=args.concept_min_relevance,
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -79,12 +79,6 @@ class Organisation:
     country_code: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Provenance:
-    sources: tuple[str, ...]
-    ingested_at: datetime
-
-
 @dataclass(frozen=True)
 class Corpus:
     """Immutable snapshot of ingested records, safe to share across threads.
@@ -97,38 +91,6 @@ class Corpus:
     publications: dict[str, Publication]
     organisations: dict[str, Organisation]
     unresolved_orgs: frozenset[str]
-    provenance: Provenance
-
-    def to_canonical_dict(self) -> dict:
-        """Content-only view with deterministic ordering (no timestamps)."""
-        pubs = {}
-        for pid in sorted(self.publications):
-            p = self.publications[pid]
-            pubs[pid] = {
-                "id": p.id,
-                "title": p.title,
-                "year": p.year,
-                "date_inserted": p.date_inserted.isoformat() if p.date_inserted else None,
-                "journal_title": p.journal_title,
-                "doc_type": p.doc_type,
-                "research_orgs": list(p.research_orgs),
-                "concepts": [
-                    {"concept": c.concept, "relevance": c.relevance} for c in p.concepts
-                ],
-            }
-        orgs = {}
-        for oid in sorted(self.organisations):
-            o = self.organisations[oid]
-            orgs[oid] = {"id": o.id, "name": o.name, "country_code": o.country_code}
-        return {
-            "publications": pubs,
-            "organisations": orgs,
-            "unresolved_orgs": sorted(self.unresolved_orgs),
-            "sources": list(self.provenance.sources),
-        }
-
-    def to_canonical_json(self) -> str:
-        return json.dumps(self.to_canonical_dict(), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
 @dataclass
@@ -384,7 +346,7 @@ def expand_corpus_paths(paths: Iterable[str | Path]) -> list[Path]:
     return out
 
 
-def _assemble(records: Iterable[Publication | Organisation], provenance: Provenance) -> Corpus:
+def _assemble(records: Iterable[Publication | Organisation]) -> Corpus:
     """Build a Corpus from records in the order given.
 
     A repeated publication id aborts with :class:`DuplicateIdError`;
@@ -413,7 +375,6 @@ def _assemble(records: Iterable[Publication | Organisation], provenance: Provena
         publications=publications,
         organisations=organisations,
         unresolved_orgs=frozenset(referenced - organisations.keys()),
-        provenance=provenance,
     )
 
 
@@ -450,10 +411,7 @@ def ingest(paths: Iterable[str | Path], format: str | None = None) -> tuple[Corp
         raise EmptyCorpusError()
 
     report = IngestReport(files=[str(p) for p in files])
-    corpus = _assemble(
-        _parse_files(files, format, report),
-        Provenance(sources=tuple(report.files), ingested_at=datetime.now(timezone.utc)),
-    )
+    corpus = _assemble(_parse_files(files, format, report))
     report.publications = len(corpus.publications)
     report.organisations = len(corpus.organisations)
     report.unresolved_org_count = len(corpus.unresolved_orgs)
@@ -461,34 +419,10 @@ def ingest(paths: Iterable[str | Path], format: str | None = None) -> tuple[Corp
 
 
 def build_corpus(
-    publications: Iterable[Publication],
-    organisations: Iterable[Organisation],
-    sources: tuple[str, ...] = ("<memory>",),
+    publications: Iterable[Publication], organisations: Iterable[Organisation]
 ) -> Corpus:
     """Assemble a Corpus from already-constructed records (tests, synthesis)."""
-    return _assemble(
-        chain(publications, organisations),
-        Provenance(sources=sources, ingested_at=datetime.now(timezone.utc)),
-    )
-
-
-def merge_corpora(a: Corpus, b: Corpus) -> Corpus:
-    """Merge two corpora with disjoint publication id sets."""
-    overlap = a.publications.keys() & b.publications.keys()
-    if overlap:
-        raise DuplicateIdError("publication", sorted(overlap)[0])
-    return _assemble(
-        chain(
-            a.publications.values(),
-            b.publications.values(),
-            a.organisations.values(),
-            b.organisations.values(),
-        ),
-        Provenance(
-            sources=a.provenance.sources + b.provenance.sources,
-            ingested_at=max(a.provenance.ingested_at, b.provenance.ingested_at),
-        ),
-    )
+    return _assemble(chain(publications, organisations))
 
 
 def corpus_stats(corpus: Corpus) -> StatsReport:

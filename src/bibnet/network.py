@@ -133,7 +133,16 @@ def top_nodes(
     return _rank(corpus, _subset_entities(corpus, subset, kind, params), kind, params)
 
 
-def _build(corpus: Corpus, subset: SubsetResult, kind: str, params: NetworkParams) -> Network:
+def build_network(
+    corpus: Corpus, subset: SubsetResult, kind: str, params: NetworkParams
+) -> Network:
+    """Network of ``kind`` over the subset's publications.
+
+    For organisations, an edge's weight counts the subset publications the
+    two organisations share (author affiliations); for concepts, it counts
+    the subset publications in which both concepts pass the relevance gate.
+    """
+    _check_kind(kind)
     entity_sets = _subset_entities(corpus, subset, kind, params)
     nodes = _rank(corpus, entity_sets, kind, params)
     selected = {node.key for node in nodes}
@@ -159,25 +168,6 @@ def _build(corpus: Corpus, subset: SubsetResult, kind: str, params: NetworkParam
         edges=edges,
         subset_size=len(entity_sets),
     )
-
-
-def build_org_network(corpus: Corpus, subset: SubsetResult, params: NetworkParams) -> Network:
-    """Collaboration network over author affiliations: edge weight counts the
-    publications two organisations share within the subset."""
-    return _build(corpus, subset, ORGANISATION, params)
-
-
-def build_concept_network(corpus: Corpus, subset: SubsetResult, params: NetworkParams) -> Network:
-    """Co-word network: edge weight counts the subset publications in which
-    both concepts pass the relevance gate."""
-    return _build(corpus, subset, CONCEPT, params)
-
-
-def build_network(
-    corpus: Corpus, subset: SubsetResult, kind: str, params: NetworkParams
-) -> Network:
-    _check_kind(kind)
-    return _build(corpus, subset, kind, params)
 
 
 def normalize_kind(value: str) -> str:

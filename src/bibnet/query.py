@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -131,7 +131,6 @@ class SubsetQuery:
 class SubsetResult:
     ids: frozenset[str]
     query_name: str
-    evaluated_at: datetime
 
 
 # --- Tokenizer ---------------------------------------------------------------
@@ -489,7 +488,7 @@ def eval_query(query: SubsetQuery, corpus: Corpus, today: date) -> SubsetResult:
     """
     matches = _compile(query.ast, today)
     ids = frozenset(pid for pid, pub in corpus.publications.items() if matches(pub))
-    return SubsetResult(ids=ids, query_name=query.name, evaluated_at=datetime.now(timezone.utc))
+    return SubsetResult(ids=ids, query_name=query.name)
 
 
 # --- Query folders -----------------------------------------------------------
@@ -498,7 +497,6 @@ def eval_query(query: SubsetQuery, corpus: Corpus, today: date) -> SubsetResult:
 @dataclass(frozen=True)
 class QueryLoadFailure:
     name: str
-    path: str
     error: str
 
 
@@ -517,11 +515,10 @@ def load_query_folder(directory: str | Path) -> QueryFolder:
     queries: list[SubsetQuery] = []
     failures: list[QueryLoadFailure] = []
     for path in sorted(folder.glob(f"*{QUERY_FILE_SUFFIX}")):
-        text = path.read_text(encoding="utf-8")
         try:
-            queries.append(parse_query(text, name=path.stem))
-        except QueryError as exc:
-            failures.append(QueryLoadFailure(name=path.stem, path=str(path), error=str(exc)))
+            queries.append(parse_query(path.read_text(encoding="utf-8"), name=path.stem))
+        except (QueryError, UnicodeDecodeError) as exc:
+            failures.append(QueryLoadFailure(name=path.stem, error=str(exc)))
     if not queries:
         raise NoRunnableQueriesError(f"no runnable queries in {folder}")
     return QueryFolder(queries=queries, failures=failures)

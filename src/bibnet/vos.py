@@ -385,10 +385,10 @@ def validate_bundle(directory: str | Path) -> list[str]:
         return [f"missing {MANIFEST_FILE} in {root}"]
     try:
         manifest = json.loads(manifest_path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        return [f"{MANIFEST_FILE} is not valid JSON: {exc.msg}"]
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        return [f"{MANIFEST_FILE} is not valid UTF-8 JSON: {exc}"]
 
-    networks = manifest.get("networks", []) if isinstance(manifest, dict) else None
+    networks = manifest.get("networks") if isinstance(manifest, dict) else None
     if not isinstance(networks, list):
         return [f"{MANIFEST_FILE} is not an object with a 'networks' list"]
 
@@ -405,8 +405,8 @@ def validate_bundle(directory: str | Path) -> list[str]:
             continue
         try:
             data = json.loads(path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            problems.append(f"{rel}: not valid JSON: {exc.msg}")
+        except ValueError as exc:
+            problems.append(f"{rel}: not valid UTF-8 JSON: {exc}")
             continue
         document_problems = validate_document_dict(data)
         problems.extend(f"{rel}: {problem}" for problem in document_problems)

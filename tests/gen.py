@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, timedelta
 
 from bibnet.corpus import ConceptMention, Corpus, Organisation, Publication, build_corpus
 from bibnet.network import NetworkParams
@@ -28,9 +28,7 @@ RELEVANCE_GATE_CHOICES = (0.0, 0.3, 0.5, 0.5, 0.9, 1.0)
 
 
 def make_subset(ids, name: str = "subset") -> SubsetResult:
-    return SubsetResult(
-        ids=frozenset(ids), query_name=name, evaluated_at=datetime.now(timezone.utc)
-    )
+    return SubsetResult(ids=frozenset(ids), query_name=name)
 
 
 def random_params(rng: random.Random) -> NetworkParams:

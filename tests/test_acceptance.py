@@ -315,8 +315,7 @@ def test_end_to_end_build_and_serve(fixtures_dir, tmp_path):
 @criterion(8, "million-record organisation build inside 60s")
 def test_scale_million_publications():
     numpy = pytest.importorskip("numpy")
-    from bibnet.corpus import Corpus, Organisation, Provenance
-    from datetime import datetime, timezone
+    from bibnet.corpus import Corpus, Organisation
 
     n_pubs = 1_000_000
     n_orgs = 30_000
@@ -349,7 +348,6 @@ def test_scale_million_publications():
         publications=publications,
         organisations=organisations,
         unresolved_orgs=frozenset(),
-        provenance=Provenance(("<synthetic>",), datetime.now(timezone.utc)),
     )
     subset = make_subset(publications, "scale")
     gen_elapsed = time.perf_counter() - gen_started

@@ -12,7 +12,6 @@ from bibnet.corpus import (
     EmptyCorpusError,
     corpus_stats,
     ingest,
-    merge_corpora,
     parse_publication,
 )
 
@@ -197,31 +196,14 @@ def test_ingest_is_idempotent_in_canonical_form(tmp_path):
     path = write_jsonl(tmp_path / "corpus.jsonl", PUBS + ORGS)
     first, _ = ingest([path])
     second, _ = ingest([path])
-    assert first.to_canonical_json() == second.to_canonical_json()
+    assert first == second
 
 
 def test_merge_of_disjoint_ingests_matches_combined_ingest(tmp_path):
     a_path = write_jsonl(tmp_path / "a.jsonl", PUBS[:2] + ORGS)
     b_path = write_jsonl(tmp_path / "b.jsonl", PUBS[2:] + ORGS)
     combined_path = write_jsonl(tmp_path / "ab.jsonl", PUBS + ORGS)
-    a, _ = ingest([a_path])
-    b, _ = ingest([b_path])
-    combined, _ = ingest([combined_path])
-    merged = merge_corpora(a, b)
-    assert merged.to_canonical_dict()["publications"] == (
-        combined.to_canonical_dict()["publications"]
-    )
-    assert merged.to_canonical_dict()["organisations"] == (
-        combined.to_canonical_dict()["organisations"]
-    )
-    assert merged.unresolved_orgs == combined.unresolved_orgs
-
-
-def test_merge_rejects_overlapping_ids(tmp_path):
-    path = write_jsonl(tmp_path / "a.jsonl", PUBS + ORGS)
-    a, _ = ingest([path])
-    with pytest.raises(DuplicateIdError):
-        merge_corpora(a, a)
+    assert ingest([a_path, b_path])[0] == ingest([combined_path])[0]
 
 
 def test_directory_expansion(tmp_path):

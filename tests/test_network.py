@@ -12,9 +12,7 @@ from bibnet.network import (
     KINDS,
     ORGANISATION,
     NetworkParams,
-    build_concept_network,
     build_network,
-    build_org_network,
     top_nodes,
 )
 
@@ -71,13 +69,13 @@ def test_worked_pair_example(abc_corpus):
     # brute-force enumeration of publication-pair incidences:
     # p1 -> AB, AC, BC; p2 -> AB; p3 -> none
     params = NetworkParams(max_nodes=10, min_edge_weight=1)
-    network = build_org_network(abc_corpus, all_ids(abc_corpus), params)
+    network = build_network(abc_corpus, all_ids(abc_corpus), ORGANISATION, params)
     assert edge_map(network) == {("B", "A"): 2, ("C", "A"): 1, ("C", "B"): 1}
 
 
 def test_worked_pair_example_thresholded(abc_corpus):
     params = NetworkParams(max_nodes=10, min_edge_weight=2)
-    network = build_org_network(abc_corpus, all_ids(abc_corpus), params)
+    network = build_network(abc_corpus, all_ids(abc_corpus), ORGANISATION, params)
     assert edge_map(network) == {("B", "A"): 2}
 
 
@@ -85,12 +83,16 @@ def test_duplicate_org_listing_creates_no_self_edge():
     orgs = [Organisation(id=k, name=f"Org {k}") for k in "AB"]
     pubs = [Publication(id="p1", research_orgs=("A", "A", "B"))]
     corpus = build_corpus(pubs, orgs)
-    network = build_org_network(corpus, all_ids(corpus), NetworkParams(min_edge_weight=1))
+    network = build_network(
+        corpus, all_ids(corpus), ORGANISATION, NetworkParams(min_edge_weight=1)
+    )
     assert edge_map(network) == {("B", "A"): 1}
 
 
 def test_org_labels_follow_name_id_rule(abc_corpus):
-    network = build_org_network(abc_corpus, all_ids(abc_corpus), NetworkParams(min_edge_weight=1))
+    network = build_network(
+        abc_corpus, all_ids(abc_corpus), ORGANISATION, NetworkParams(min_edge_weight=1)
+    )
     assert network.nodes[0].label == "Org A (A)"
 
 
@@ -101,14 +103,16 @@ def test_unresolved_orgs_are_excluded():
         Publication(id="p2", research_orgs=("grid.ghost",)),
     ]
     corpus = build_corpus(pubs, orgs)
-    network = build_org_network(corpus, all_ids(corpus), NetworkParams(min_edge_weight=1))
+    network = build_network(
+        corpus, all_ids(corpus), ORGANISATION, NetworkParams(min_edge_weight=1)
+    )
     assert {n.key for n in network.nodes} == {"A", "B"}
     assert edge_map(network) == {("B", "A"): 1}
 
 
 def test_edge_endpoints_resolve_to_selected_nodes(abc_corpus):
     params = NetworkParams(max_nodes=2, min_edge_weight=1)
-    network = build_org_network(abc_corpus, all_ids(abc_corpus), params)
+    network = build_network(abc_corpus, all_ids(abc_corpus), ORGANISATION, params)
     keys = {n.key for n in network.nodes}
     assert keys == {"A", "B"}
     for edge in network.edges:
@@ -117,14 +121,14 @@ def test_edge_endpoints_resolve_to_selected_nodes(abc_corpus):
 
 def test_max_nodes_one_never_produces_edges(abc_corpus):
     params = NetworkParams(max_nodes=1, min_edge_weight=1)
-    network = build_org_network(abc_corpus, all_ids(abc_corpus), params)
+    network = build_network(abc_corpus, all_ids(abc_corpus), ORGANISATION, params)
     assert len(network.nodes) == 1
     assert network.edges == ()
 
 
 def test_subset_restricts_counting(abc_corpus):
     params = NetworkParams(max_nodes=10, min_edge_weight=1)
-    network = build_org_network(abc_corpus, make_subset(["p2", "p3"]), params)
+    network = build_network(abc_corpus, make_subset(["p2", "p3"]), ORGANISATION, params)
     assert edge_map(network) == {("B", "A"): 1}
     assert network.subset_size == 2
 
@@ -150,14 +154,14 @@ def test_relevance_gate_drops_low_mentions():
     # hand-applied gate at 0.5: p2's y mention is out, so (x, y) shares p1 only
     corpus = concept_corpus()
     params = NetworkParams(max_nodes=10, min_edge_weight=1, concept_min_relevance=0.5)
-    network = build_concept_network(corpus, all_ids(corpus), params)
+    network = build_network(corpus, all_ids(corpus), CONCEPT, params)
     assert edge_map(network) == {("y", "x"): 1}
 
 
 def test_gate_disabled_counts_both_publications():
     corpus = concept_corpus()
     params = NetworkParams(max_nodes=10, min_edge_weight=1, concept_min_relevance=0.0)
-    network = build_concept_network(corpus, all_ids(corpus), params)
+    network = build_network(corpus, all_ids(corpus), CONCEPT, params)
     assert edge_map(network) == {("y", "x"): 2}
 
 
@@ -167,14 +171,14 @@ def test_single_concept_publications_rank_nodes_without_edges():
         Publication(id="p2", concepts=(ConceptMention("alone", 0.7),)),
     ]
     corpus = build_corpus(pubs, [])
-    network = build_concept_network(corpus, all_ids(corpus), NetworkParams(min_edge_weight=1))
+    network = build_network(corpus, all_ids(corpus), CONCEPT, NetworkParams(min_edge_weight=1))
     assert [(n.key, n.pubs) for n in network.nodes] == [("alone", 2)]
     assert network.edges == ()
 
 
 def test_concept_labels_are_the_concept_text():
     corpus = concept_corpus()
-    network = build_concept_network(corpus, all_ids(corpus), NetworkParams(min_edge_weight=1))
+    network = build_network(corpus, all_ids(corpus), CONCEPT, NetworkParams(min_edge_weight=1))
     assert all(n.label == n.key for n in network.nodes)
 
 
@@ -240,7 +244,7 @@ def test_org_list_order_never_matters(seed):
     corpus = random_corpus(rng, max_pubs=20)
     subset = random_subset(rng, corpus)
     params = random_params(rng)
-    baseline = build_org_network(corpus, subset, params)
+    baseline = build_network(corpus, subset, ORGANISATION, params)
 
     shuffled_pubs = []
     for pub in corpus.publications.values():
@@ -259,7 +263,7 @@ def test_org_list_order_never_matters(seed):
             )
         )
     shuffled = build_corpus(shuffled_pubs, corpus.organisations.values())
-    assert build_org_network(shuffled, subset, params) == baseline
+    assert build_network(shuffled, subset, ORGANISATION, params) == baseline
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -286,9 +290,11 @@ def test_cap_is_respected_and_uncapped_is_supergraph(seed):
     corpus = random_corpus(rng, max_pubs=25)
     subset = random_subset(rng, corpus)
     cap = rng.choice([1, 2, 3, 5, 10])
-    capped = build_org_network(corpus, subset, NetworkParams(max_nodes=cap, min_edge_weight=1))
-    uncapped = build_org_network(
-        corpus, subset, NetworkParams(max_nodes=10_000, min_edge_weight=1)
+    capped = build_network(
+        corpus, subset, ORGANISATION, NetworkParams(max_nodes=cap, min_edge_weight=1)
+    )
+    uncapped = build_network(
+        corpus, subset, ORGANISATION, NetworkParams(max_nodes=10_000, min_edge_weight=1)
     )
     assert len(capped.nodes) <= cap
     assert {n.key for n in capped.nodes} <= {n.key for n in uncapped.nodes}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import shutil
 import time
 from datetime import date
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibnet.cli import main
 from bibnet.corpus import Publication, build_corpus
 from bibnet.query import (
     AndExpr,
@@ -222,6 +225,18 @@ def test_folder_reports_broken_files_and_keeps_going(tmp_path):
     assert folder.failures[0].name == "broken"
 
 
+def test_build_skips_a_query_file_that_is_not_utf8(fixtures_dir, tmp_path):
+    queries = tmp_path / "queries"
+    shutil.copytree(fixtures_dir / "queries", queries)
+    (queries / "latin1.nql").write_bytes('journal_title == "Café"\n'.encode("latin-1"))
+    out = tmp_path / "out"
+    args = ["--queries", str(queries), "--out", str(out), "--today", "2022-07-01"]
+    assert main(["build", "--corpus", str(fixtures_dir / "corpus"), *args]) == 0
+    report = json.loads((out / "run_report.json").read_text("utf-8"))
+    assert [skip["query"] for skip in report["skipped"]] == ["latin1"]
+    assert report["processed"] == 3
+
+
 def test_empty_folder_is_fatal(tmp_path):
     with pytest.raises(NoRunnableQueriesError):
         load_query_folder(tmp_path)
@@ -278,9 +293,7 @@ def test_evaluation_is_deterministic(seed):
     rng = random.Random(seed)
     corpus = random_corpus(rng, max_pubs=25)
     query = as_query(random_expr(rng, 3))
-    first = eval_query(query, corpus, TODAY).ids
-    second = eval_query(query, corpus, TODAY).ids
-    assert first == second
+    assert eval_query(query, corpus, TODAY) == eval_query(query, corpus, TODAY)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -17,8 +17,8 @@ from bibnet.network import (
     KINDS,
     Network,
     NetworkParams,
+    ORGANISATION,
     build_network,
-    build_org_network,
 )
 from bibnet.vos import (
     BundleLockError,
@@ -40,7 +40,8 @@ STAMP = "2022-07-01T00:00:00+00:00"
 
 def abc_network(abc_corpus, **params_kwargs) -> Network:
     params = NetworkParams(**{"max_nodes": 10, "min_edge_weight": 1, **params_kwargs})
-    return build_org_network(abc_corpus, make_subset(abc_corpus.publications, "demo"), params)
+    subset = make_subset(abc_corpus.publications, "demo")
+    return build_network(abc_corpus, subset, ORGANISATION, params)
 
 
 def test_three_org_network_maps_to_items_and_links(abc_corpus):
@@ -68,8 +69,8 @@ def test_label_carries_parenthesized_id_verbatim():
     orgs = [Organisation(id="grid.38142.3c", name="Harvard University")]
     pubs = [Publication(id="p1", research_orgs=("grid.38142.3c",))]
     corpus = build_corpus(pubs, orgs)
-    network = build_org_network(
-        corpus, make_subset(corpus.publications), NetworkParams(min_edge_weight=1)
+    network = build_network(
+        corpus, make_subset(corpus.publications), ORGANISATION, NetworkParams(min_edge_weight=1)
     )
     doc = to_vos_json(network, generated_at=STAMP)
     assert doc.items[0]["label"] == "Harvard University (grid.38142.3c)"
@@ -85,7 +86,8 @@ def test_round_trip_on_random_networks():
     rng = random.Random(5)
     for _ in range(25):
         corpus = random_corpus(rng, max_pubs=20)
-        network = build_org_network(corpus, random_subset(rng, corpus), random_params(rng))
+        subset = random_subset(rng, corpus)
+        network = build_network(corpus, subset, ORGANISATION, random_params(rng))
         doc = to_vos_json(network, generated_at=STAMP)
         assert document_from_dict(json.loads(dumps_document(doc))) == doc
         assert validate_document_dict(json.loads(dumps_document(doc))) == []
@@ -332,13 +334,17 @@ def test_validate_bundle_without_manifest(tmp_path):
         ("manifest.json", '{"networks": 3}', "manifest.json is not an object"),
         ("manifest.json", '{"networks": ["networks/x.json"]}', "entry 0 has no string 'file'"),
         ("manifest.json", '{"networks": [{"file": 5}]}', "entry 0 has no string 'file'"),
+        ("manifest.json", "{}", "manifest.json is not an object with a 'networks' list"),
+        ("networks/demo__org.json", b"\xff\xfe{}", "demo__org.json: not valid UTF-8 JSON"),
+        ("manifest.json", b"\xff\xfe{}", "manifest.json is not valid UTF-8 JSON"),
     ],
 )
 def test_validate_reports_malformed_bundle_files(
     abc_corpus, tmp_path, capsys, target, text, expected
 ):
     write_bundle([to_vos_json(abc_network(abc_corpus), generated_at=STAMP)], tmp_path)
-    (tmp_path / target).write_text(text, encoding="utf-8")
+    data = text if isinstance(text, bytes) else text.encode("utf-8")
+    (tmp_path / target).write_bytes(data)
     assert any(expected in p for p in validate_bundle(tmp_path))
     assert main(["validate", "--dir", str(tmp_path)]) == 1
     assert expected in capsys.readouterr().err
