@@ -22,7 +22,6 @@ from bibnet.corpus import CorpusError, corpus_stats, expand_corpus_paths, ingest
 from bibnet.network import NetworkParams, normalize_kind
 from bibnet.pipeline import RunConfig, run_all
 from bibnet.query import NoRunnableQueriesError
-from bibnet.server import DEFAULT_PORT, PORT_ENV_VAR, serve
 from bibnet.sqlgen import DEFAULT_DATASET_PREFIX, SqlRequest, render_sql
 from bibnet.version import ENGINE_VERSION
 from bibnet.vos import BundleLockError, validate_bundle
@@ -30,6 +29,9 @@ from bibnet.vos import BundleLockError, validate_bundle
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_NO_NETWORKS = 2
+
+DEFAULT_PORT = 8000
+PORT_ENV_VAR = "BIBNET_PORT"
 
 
 def _fail(message: str) -> int:
@@ -206,6 +208,8 @@ def cmd_sql(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from bibnet.server import serve  # here, so other commands skip importing http.server
+
     port = args.port
     if port is None:
         try:

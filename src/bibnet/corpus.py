@@ -257,20 +257,28 @@ def parse_organisation(record: dict) -> Organisation:
     return Organisation(id=oid, name=name, country_code=country)
 
 
+def _lines(path: Path, newline: str | None = None) -> Iterator[str]:
+    """The lines of a UTF-8 text file; any other encoding is fatal and named."""
+    with path.open("r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield line_no, _RecordError(f"invalid JSON: {exc.msg}"), False
-                continue
-            if not isinstance(record, dict):
-                yield line_no, _RecordError("record is not an object"), False
-                continue
-            yield line_no, record, "name" in record
+    for line_no, line in enumerate(_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            yield line_no, _RecordError(f"invalid JSON: {exc.msg}"), False
+            continue
+        if not isinstance(record, dict):
+            yield line_no, _RecordError("record is not an object"), False
+            continue
+        yield line_no, record, "name" in record
 
 
 def _split_list_cell(cell: str) -> list[str]:
@@ -303,15 +311,13 @@ def _csv_to_record(row: dict, is_org_file: bool) -> dict:
 
 
 def _iter_csv(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        is_org_file = "name" in fields
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                yield line_no, _csv_to_record(row, is_org_file), is_org_file
-            except _RecordError as exc:
-                yield line_no, exc, is_org_file
+    reader = csv.DictReader(_lines(path, newline=""))
+    is_org_file = "name" in (reader.fieldnames or [])
+    for line_no, row in enumerate(reader, start=2):
+        try:
+            yield line_no, _csv_to_record(row, is_org_file), is_org_file
+        except _RecordError as exc:
+            yield line_no, exc, is_org_file
 
 
 def _detect_format(path: Path, declared: str | None) -> str:

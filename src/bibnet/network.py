@@ -145,19 +145,19 @@ def build_network(
     _check_kind(kind)
     entity_sets = _subset_entities(corpus, subset, kind, params)
     nodes = _rank(corpus, entity_sets, kind, params)
-    selected = {node.key for node in nodes}
+    keys = sorted((node.key for node in nodes), reverse=True)  # i < j: keys[i] > keys[j]
+    position = {key: i for i, key in enumerate(keys)}
 
-    pair_counts: Counter[tuple[str, str]] = Counter()
+    pair_counts: Counter[tuple[int, int]] = Counter()
     for entities in entity_sets:
-        members = entities & selected
+        members = [position[key] for key in entities if key in position]
         if len(members) >= 2:
-            # descending order yields each pair as (greater, lesser)
-            pair_counts.update(combinations(sorted(members, reverse=True), 2))
+            pair_counts.update(combinations(sorted(members), 2))
 
     threshold = params.min_edge_weight
     edges = tuple(
-        Edge(a=a, b=b, weight=w)
-        for (a, b), w in sorted(pair_counts.items())
+        Edge(a=keys[i], b=keys[j], weight=w)
+        for (i, j), w in sorted(pair_counts.items(), reverse=True)  # ascending (a, b)
         if w >= threshold
     )
     return Network(

@@ -14,9 +14,6 @@ from urllib.parse import unquote, urlsplit
 
 from bibnet.vos import MANIFEST_FILE
 
-DEFAULT_PORT = 8000
-PORT_ENV_VAR = "BIBNET_PORT"
-
 CONTENT_TYPES = {
     ".html": "text/html; charset=utf-8",
     ".json": "application/json",
@@ -106,7 +103,7 @@ def make_server(directory: str | Path, port: int, host: str = "") -> ThreadingHT
     return ThreadingHTTPServer((host, port), handler)
 
 
-def serve(directory: str | Path, port: int = DEFAULT_PORT) -> None:
+def serve(directory: str | Path, port: int) -> None:
     """Serve the bundle until interrupted."""
     httpd = make_server(directory, port)
     host, bound_port = httpd.server_address[:2]

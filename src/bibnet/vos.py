@@ -6,6 +6,16 @@ VOSviewer ignores). Bundles are a directory of one JSON file per network,
 an ``index.html`` with relative links, and a ``manifest.json`` table of
 contents. JSON is emitted with sorted keys and LF endings so reruns are
 diffable; writes are temp-then-rename and guarded by a lock file.
+
+Network files have exactly the layout of ``json.dumps(...,
+sort_keys=True, indent=2, ensure_ascii=False)`` plus a final newline.
+``json`` encodes with its C encoder only when ``indent`` is None, so
+``dumps_document`` writes the usual document shape itself: items and links
+through fixed templates, labels through ``json.encoder.encode_basestring``
+(the function ``json.dumps`` uses for them), and ``bibnet_meta`` through
+``json.dumps``. Any other shape (another key, a weight besides
+``Documents``, an id, count or strength that is not exactly ``int``, a
+label that is not a ``str``) is written by ``json.dumps`` itself.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import re
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from bibnet.network import KINDS, Network, kind_slug
@@ -86,8 +97,71 @@ def document_from_dict(data: dict) -> VosDocument:
     return VosDocument(data["network"]["items"], data["network"]["links"], data[META_KEY])
 
 
+# One item and one link as json.dumps(..., indent=2) lays them out inside
+# the document, sorted keys included.
+_ITEM = (
+    '      {\n        "id": %d,\n        "label": %s,\n        "weights": {\n'
+    f'          "{DOCUMENTS_WEIGHT}": %d\n        }}\n      }}'
+)
+_LINK = (
+    '      {\n        "source_id": %d,\n        "strength": %d,\n'
+    '        "target_id": %d\n      }'
+)
+_ITEM_KEYS = frozenset(("id", "label", "weights"))
+_WEIGHT_KEYS = frozenset((DOCUMENTS_WEIGHT,))
+_LINK_KEYS = frozenset(("source_id", "strength", "target_id"))
+
+
+def _array(parts: list[str]) -> str:
+    return "[\n" + ",\n".join(parts) + "\n    ]" if parts else "[]"
+
+
+def _items_text(items: object) -> str | None:
+    """The ``items`` array as json.dumps lays it out, or None for another shape."""
+    if type(items) is not list:
+        return None
+    parts = []
+    for item in items:
+        if type(item) is not dict or item.keys() != _ITEM_KEYS:
+            return None
+        item_id, label, weights = item["id"], item["label"], item["weights"]
+        if type(weights) is not dict or weights.keys() != _WEIGHT_KEYS:
+            return None
+        count = weights[DOCUMENTS_WEIGHT]
+        if type(item_id) is not int or type(label) is not str or type(count) is not int:
+            return None
+        parts.append(_ITEM % (item_id, encode_basestring(label), count))
+    return _array(parts)
+
+
+def _links_text(links: object) -> str | None:
+    """The ``links`` array as json.dumps lays it out, or None for another shape."""
+    if type(links) is not list:
+        return None
+    parts = []
+    for link in links:
+        if type(link) is not dict or link.keys() != _LINK_KEYS:
+            return None
+        source, strength, target = link["source_id"], link["strength"], link["target_id"]
+        if type(source) is not int or type(strength) is not int or type(target) is not int:
+            return None
+        parts.append(_LINK % (source, strength, target))
+    return _array(parts)
+
+
 def dumps_document(doc: VosDocument) -> str:
-    return json.dumps(document_to_dict(doc), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The document as ``json.dumps(document_to_dict(doc), sort_keys=True,
+    indent=2, ensure_ascii=False) + "\\n"``, byte for byte."""
+    items = _items_text(doc.items)
+    links = _links_text(doc.links) if items is not None else None
+    if links is None:
+        text = json.dumps(document_to_dict(doc), sort_keys=True, indent=2, ensure_ascii=False)
+        return text + "\n"
+    meta = json.dumps(doc.meta, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+    return (
+        f'{{\n  "{META_KEY}": {meta},\n  "network": {{\n    "items": {items},\n'
+        f'    "links": {links}\n  }}\n}}\n'
+    )
 
 
 def _integer(value: object) -> bool:

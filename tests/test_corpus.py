@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import random
+import shutil
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+from bibnet.cli import main
 from bibnet.corpus import (
+    CorpusError,
     DuplicateIdError,
     EmptyCorpusError,
     corpus_stats,
@@ -91,6 +94,28 @@ def test_zero_valid_records_is_fatal(tmp_path):
 def test_unreadable_file_is_fatal(tmp_path):
     with pytest.raises(FileNotFoundError):
         ingest([tmp_path / "missing.jsonl"])
+
+
+@pytest.mark.parametrize("command", ["ingest", "build"])
+def test_non_utf8_corpus_file_is_fatal_and_named(fixtures_dir, tmp_path, capsys, command):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(fixtures_dir / "corpus", corpus)
+    with (corpus / "publications.jsonl").open("ab") as fh:
+        fh.write('{"id": "pub.x", "title": "Caf\xe9"}\n'.encode("latin-1"))
+    argv = [command, "--corpus", str(corpus)]
+    if command == "build":
+        argv += ["--queries", str(fixtures_dir / "queries"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{corpus / 'publications.jsonl'}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_csv_file_names_the_file(tmp_path):
+    path = tmp_path / "orgs.csv"
+    path.write_bytes("id,name\ngrid.1,Caf\xe9\n".encode("latin-1"))
+    with pytest.raises(CorpusError, match="orgs.csv: not UTF-8 text"):
+        ingest([path])
 
 
 def test_unresolved_orgs_are_recorded_not_dropped(tmp_path):

@@ -9,6 +9,8 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bibnet.cli import main
 from bibnet.corpus import Organisation, Publication, build_corpus
@@ -23,6 +25,9 @@ from bibnet.network import (
 from bibnet.vos import (
     BundleLockError,
     LOCK_FILE,
+    VosDocument,
+    _items_text,
+    _links_text,
     document_from_dict,
     document_to_dict,
     dumps_document,
@@ -207,6 +212,101 @@ def test_cli_import_leaves_jsonschema_out():
     code = "import sys, bibnet.cli; sys.exit('jsonschema' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_import_leaves_http_server_out():
+    code = "import sys, bibnet.cli; sys.exit('http.server' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def json_dumps_document(doc: VosDocument) -> str:
+    """The call dumps_document must match byte for byte."""
+    return json.dumps(document_to_dict(doc), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+_LABEL_CHARS = st.one_of(
+    st.characters(),
+    # quotes, backslashes, C0 controls, DEL, line separators, lone surrogates
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\ud800", "\udfff"]),
+)
+_LABELS = st.text(_LABEL_CHARS, max_size=12)
+_INTS = st.integers(-(2**70), 2**70)
+_ITEMS = st.lists(
+    st.builds(
+        lambda i, label, n: {"id": i, "label": label, "weights": {"Documents": n}},
+        _INTS,
+        _LABELS,
+        _INTS,
+    ),
+    max_size=6,
+)
+_LINKS = st.lists(
+    st.builds(
+        lambda s, w, t: {"source_id": s, "strength": w, "target_id": t}, _INTS, _INTS, _INTS
+    ),
+    max_size=6,
+)
+_META = st.builds(
+    lambda name, size: {
+        "query_name": name,
+        "kind": CONCEPT,
+        "params": NetworkParams().to_dict(),
+        "subset_size": size,
+        "generated_at": STAMP,
+        "engine_version": "0.0.0",
+    },
+    _LABELS,
+    _INTS,
+)
+
+
+@given(_ITEMS, _LINKS, _META)
+@settings(max_examples=300, deadline=None)
+@example([], [], {})
+@example([{"id": 1, "label": "a", "weights": {"Documents": 1}}], [], {"query_name": ""})
+@example([], [{"source_id": 1, "strength": 2, "target_id": 3}], {"query_name": "\u2028"})
+def test_writer_matches_json_dumps(items, links, meta):
+    doc = VosDocument(items, links, meta)
+    assert dumps_document(doc) == json_dumps_document(doc)
+
+
+def test_writer_matches_json_dumps_on_built_networks():
+    rng = random.Random(8)
+    for _ in range(25):
+        corpus = random_corpus(rng, max_pubs=30)
+        for kind in KINDS:
+            network = build_network(corpus, random_subset(rng, corpus), kind, random_params(rng))
+            doc = to_vos_json(network, generated_at=STAMP)
+            # documents from to_vos_json never need the json.dumps fallback
+            assert _items_text(doc.items) is not None and _links_text(doc.links) is not None
+            assert dumps_document(doc) == json_dumps_document(doc)
+
+
+def _fallback_documents() -> dict[str, VosDocument]:
+    item = {"id": 1, "label": "a", "weights": {"Documents": 2}}
+    link = {"source_id": 1, "strength": 3, "target_id": 2}
+    meta = {"query_name": "q"}
+    return {
+        "extra numeric weight": VosDocument(
+            [{**item, "weights": {"Documents": 2, "Links": 1.5}}], [link], meta
+        ),
+        "bool id": VosDocument([{**item, "id": True}], [link], meta),
+        "bool count": VosDocument([{**item, "weights": {"Documents": True}}], [link], meta),
+        "float strength": VosDocument([item], [{**link, "strength": 2.5}], meta),
+        "bool strength": VosDocument([item], [{**link, "strength": True}], meta),
+        "extra item key": VosDocument([{**item, "x": 7}], [link], meta),
+        "extra link key": VosDocument([item], [{**link, "x": 7}], meta),
+        "missing link key": VosDocument([item], [{"source_id": 1, "target_id": 2}], meta),
+        "non-string label": VosDocument([{**item, "label": 5}], [link], meta),
+        "tuple of links": VosDocument([item], (link,), meta),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fallback_documents()))
+def test_writer_falls_back_to_json_dumps_for_other_shapes(case):
+    doc = _fallback_documents()[case]
+    assert dumps_document(doc) == json_dumps_document(doc)
 
 
 def test_slug_rule():
