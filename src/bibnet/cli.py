@@ -15,10 +15,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from datetime import date
 from pathlib import Path
 
-from bibnet.corpus import CorpusError, corpus_stats, expand_corpus_paths, ingest
+from bibnet.corpus import CorpusError, corpus_stats, ingest, parse_date
 from bibnet.network import NetworkParams, normalize_kind
 from bibnet.pipeline import RunConfig, run_all
 from bibnet.query import NoRunnableQueriesError
@@ -41,7 +42,7 @@ def _fail(message: str) -> int:
 
 def _parse_today(value: str) -> date:
     try:
-        return date.fromisoformat(value)
+        return parse_date(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"--today expects YYYY-MM-DD, got {value!r}")
 
@@ -59,31 +60,22 @@ def _parse_kinds(value: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(kinds))
 
 
+# help for the flag of each NetworkParams field (--max-nodes for max_nodes)
+_PARAM_HELP = {
+    "max_nodes": "node cap per network",
+    "min_edge_weight": "drop edges below this weight",
+    "concept_min_relevance": "relevance gate for concept mentions (concept networks only)",
+}
+
+
 def _add_params_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = NetworkParams()
-    parser.add_argument(
-        "--max-nodes", type=int, default=defaults.max_nodes, help="node cap per network"
-    )
-    parser.add_argument(
-        "--min-edge-weight",
-        type=int,
-        default=defaults.min_edge_weight,
-        help="drop edges below this weight",
-    )
-    parser.add_argument(
-        "--concept-min-relevance",
-        type=float,
-        default=defaults.concept_min_relevance,
-        help="relevance gate for concept mentions (concept networks only)",
-    )
+    for f in fields(NetworkParams):
+        flag = "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, type=type(f.default), default=f.default, help=_PARAM_HELP[f.name])
 
 
 def _params_from_args(args: argparse.Namespace) -> NetworkParams:
-    return NetworkParams(
-        max_nodes=args.max_nodes,
-        min_edge_weight=args.min_edge_weight,
-        concept_min_relevance=args.concept_min_relevance,
-    )
+    return NetworkParams(**{f.name: getattr(args, f.name) for f in fields(NetworkParams)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +146,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"{stats.concepts} distinct concepts"
     )
     if args.report:
-        payload = {"ingest": report.to_dict(), "stats": stats.to_dict()}
+        payload = {"ingest": asdict(report), "stats": asdict(stats)}
         Path(args.report).write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
@@ -163,14 +155,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     try:
-        params = _params_from_args(args)
-        corpus_paths = tuple(str(p) for p in expand_corpus_paths(args.corpus))
         config = RunConfig(
-            corpus_paths=corpus_paths,
+            corpus_paths=tuple(args.corpus),
             query_dir=args.queries,
             out_dir=args.out,
             kinds=args.kinds,
-            params=params,
+            params=_params_from_args(args),
             today=args.today,
             corpus_format=args.format,
         )
@@ -187,7 +177,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_sql(args: argparse.Namespace) -> int:
     try:
         kind = normalize_kind(args.kind)
-        subquery = Path(args.query_file).read_text(encoding="utf-8")
+        try:
+            subquery = Path(args.query_file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            return _fail(f"{args.query_file}: not UTF-8 text ({exc.reason})")
         rendered = render_sql(
             SqlRequest(
                 user_subquery=subquery,

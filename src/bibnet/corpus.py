@@ -21,13 +21,17 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
-DOC_TYPES = ("article", "preprint", "other")
+# file suffix -> format; directories are scanned for exactly these
+_FORMATS_BY_SUFFIX = {".jsonl": "jsonl", ".ndjson": "jsonl", ".json": "jsonl", ".csv": "csv"}
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # Reasons kept verbatim in the ingest report are capped so a fully broken
 # file cannot balloon the report.
@@ -108,17 +112,6 @@ class IngestReport:
         if len(self.skip_reasons) < MAX_REPORTED_REASONS:
             self.skip_reasons.append(f"{source}:{line_no}: {reason}")
 
-    def to_dict(self) -> dict:
-        return {
-            "files": self.files,
-            "rows_total": self.rows_total,
-            "publications": self.publications,
-            "organisations": self.organisations,
-            "skipped": self.skipped,
-            "skip_reasons": self.skip_reasons,
-            "unresolved_org_count": self.unresolved_org_count,
-        }
-
     def summary(self) -> str:
         lines = [
             f"ingested {self.publications} publications and "
@@ -138,13 +131,6 @@ class StatsReport:
     publications: int
     organisations: int
     concepts: int
-
-    def to_dict(self) -> dict:
-        return {
-            "publications": self.publications,
-            "organisations": self.organisations,
-            "concepts": self.concepts,
-        }
 
 
 def _require_str(record: dict, key: str, required: bool = False) -> str | None:
@@ -166,6 +152,14 @@ def _coerce_year(value) -> int | None:
     return value
 
 
+def parse_date(text: str) -> date:
+    """A ``YYYY-MM-DD`` date. ``date.fromisoformat`` alone would also take
+    ``20210101`` and ``2021-W01-1`` from Python 3.11 on, but not on 3.10."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
+
+
 def _coerce_date(value) -> date | None:
     """Accept a calendar date or a timestamp; keep the date part only."""
     if value is None or value == "":
@@ -174,7 +168,7 @@ def _coerce_date(value) -> date | None:
         raise _RecordError(f"field 'date_inserted' must be a string, got {value!r}")
     head = value.replace("T", " ").split(" ", 1)[0]
     try:
-        return date.fromisoformat(head)
+        return parse_date(head)
     except ValueError:
         raise _RecordError(f"field 'date_inserted' is not a date: {value!r}") from None
 
@@ -325,12 +319,10 @@ def _detect_format(path: Path, declared: str | None) -> str:
         if declared not in ("jsonl", "csv"):
             raise ValueError(f"unsupported format {declared!r} (expected 'jsonl' or 'csv')")
         return declared
-    suffix = path.suffix.lower()
-    if suffix in (".jsonl", ".ndjson", ".json"):
-        return "jsonl"
-    if suffix == ".csv":
-        return "csv"
-    raise ValueError(f"cannot infer format of {path}: pass format='jsonl' or 'csv'")
+    try:
+        return _FORMATS_BY_SUFFIX[path.suffix.lower()]
+    except KeyError:
+        raise ValueError(f"cannot infer format of {path}: pass format='jsonl' or 'csv'") from None
 
 
 def expand_corpus_paths(paths: Iterable[str | Path]) -> list[Path]:
@@ -339,9 +331,7 @@ def expand_corpus_paths(paths: Iterable[str | Path]) -> list[Path]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            found = sorted(
-                q for q in p.iterdir() if q.suffix.lower() in (".jsonl", ".ndjson", ".json", ".csv")
-            )
+            found = sorted(q for q in p.iterdir() if q.suffix.lower() in _FORMATS_BY_SUFFIX)
             if not found:
                 raise FileNotFoundError(f"no .jsonl or .csv files in directory {p}")
             out.extend(found)
@@ -413,9 +403,6 @@ def ingest(paths: Iterable[str | Path], format: str | None = None) -> tuple[Corp
     aborts with :class:`EmptyCorpusError`.
     """
     files = expand_corpus_paths(paths)
-    if not files:
-        raise EmptyCorpusError()
-
     report = IngestReport(files=[str(p) for p in files])
     corpus = _assemble(_parse_files(files, format, report))
     report.publications = len(corpus.publications)

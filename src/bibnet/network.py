@@ -54,13 +54,6 @@ class NetworkParams:
                 f"concept_min_relevance must be in [0, 1], got {self.concept_min_relevance}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "max_nodes": self.max_nodes,
-            "min_edge_weight": self.min_edge_weight,
-            "concept_min_relevance": self.concept_min_relevance,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class Node:

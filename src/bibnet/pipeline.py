@@ -8,15 +8,15 @@ query and is written as ``run_report.json`` inside the output bundle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from pathlib import Path
 
-from bibnet.corpus import IngestReport, corpus_stats, ingest
+from bibnet.corpus import IngestReport, StatsReport, corpus_stats, ingest
 from bibnet.network import KINDS, NetworkParams, _check_kind, build_network
 from bibnet.query import eval_query, load_query_folder
 from bibnet.version import ENGINE_VERSION
-from bibnet.vos import now_stamp, to_vos_json, write_bundle
+from bibnet.vos import _atomic_write_text, now_stamp, to_vos_json, write_bundle
 
 RUN_REPORT_FILE = "run_report.json"
 
@@ -42,9 +42,9 @@ class RunConfig:
 class RunReport:
     generated_at: str
     today: str
-    params: dict
-    corpus: dict
-    ingest: dict
+    params: NetworkParams
+    corpus: StatsReport
+    ingest: IngestReport
     queries_loaded: int = 0
     processed: int = 0
     skipped: list[dict] = field(default_factory=list)
@@ -56,16 +56,8 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
+            **asdict(self),
             "engine_version": ENGINE_VERSION,
-            "generated_at": self.generated_at,
-            "today": self.today,
-            "params": self.params,
-            "corpus": self.corpus,
-            "ingest": self.ingest,
-            "queries_loaded": self.queries_loaded,
-            "processed": self.processed,
-            "skipped": self.skipped,
-            "networks": self.networks,
             "networks_produced": self.networks_produced,
         }
 
@@ -95,49 +87,33 @@ def run_all(config: RunConfig) -> tuple[RunReport, IngestReport]:
     report = RunReport(
         generated_at=stamp,
         today=today.isoformat(),
-        params=config.params.to_dict(),
-        corpus=corpus_stats(corpus).to_dict(),
-        ingest=ingest_report.to_dict(),
+        params=config.params,
+        corpus=corpus_stats(corpus),
+        ingest=ingest_report,
         queries_loaded=len(folder.queries) + len(folder.failures),
+        skipped=[{"query": failure.name, "reason": failure.error} for failure in folder.failures],
     )
-    for failure in folder.failures:
-        report.skipped.append({"query": failure.name, "reason": failure.error})
 
     documents = []
-    rows = []
     for query in folder.queries:
         try:
             subset = eval_query(query, corpus, today)
-            query_docs = []
-            query_rows = []
-            for kind in config.kinds:
-                network = build_network(corpus, subset, kind, config.params)
-                query_docs.append(to_vos_json(network, generated_at=stamp))
-                query_rows.append(
-                    {
-                        "query": query.name,
-                        "kind": kind,
-                        "subset_size": network.subset_size,
-                        "nodes": len(network.nodes),
-                        "edges": len(network.edges),
-                        "empty_subset": network.subset_size == 0,
-                    }
-                )
+            query_docs = [
+                to_vos_json(build_network(corpus, subset, kind, config.params), generated_at=stamp)
+                for kind in config.kinds
+            ]
         except Exception as exc:  # per-query isolation
             report.skipped.append({"query": query.name, "reason": f"{type(exc).__name__}: {exc}"})
             continue
         documents.extend(query_docs)
-        rows.extend(query_rows)
         report.processed += 1
 
     manifest = write_bundle(documents, config.out_dir, generated_at=stamp)
-    for row, entry in zip(rows, manifest.networks):
-        row["file"] = entry["file"]
-        report.networks.append(row)
-
-    report_path = Path(config.out_dir) / RUN_REPORT_FILE
-    report_path.write_text(
+    report.networks = [
+        {**entry, "empty_subset": entry["subset_size"] == 0} for entry in manifest.networks
+    ]
+    _atomic_write_text(
+        Path(config.out_dir) / RUN_REPORT_FILE,
         json.dumps(report.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
     )
     return report, ingest_report

@@ -27,7 +27,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from bibnet.corpus import Corpus, Publication
+from bibnet.corpus import Corpus, Publication, parse_date
 
 # field name -> (value kind, multi-valued?)
 FIELDS: dict[str, tuple[str, bool]] = {
@@ -39,8 +39,6 @@ FIELDS: dict[str, tuple[str, bool]] = {
     "research_orgs": ("str", True),
     "concept": ("str", True),
 }
-
-COMPARISON_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
 QUERY_FILE_SUFFIX = ".nql"
 
@@ -186,7 +184,7 @@ def _tokenize(text: str) -> list[_Token]:
             pass
         elif kind == "date":
             try:
-                value = date.fromisoformat(raw)
+                value = parse_date(raw)
             except ValueError:
                 raise QuerySyntaxError(f"invalid date literal {raw!r}", line, column) from None
             tokens.append(_Token("date", raw, value, line, column))

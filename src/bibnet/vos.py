@@ -25,7 +25,7 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -41,6 +41,9 @@ INDEX_FILE = "index.html"
 NETWORK_DIR = "networks"
 
 VOSVIEWER_ONLINE_URL = "https://app.vosviewer.com/"
+
+# a manifest ``file``: one file directly in NETWORK_DIR, named so a URL needs no quoting
+_NETWORK_FILE = re.compile(rf"{NETWORK_DIR}/[A-Za-z0-9._~-]+\.json")
 
 
 class BundleLockError(RuntimeError):
@@ -81,7 +84,7 @@ def to_vos_json(network: Network, generated_at: str | None = None) -> VosDocumen
     meta = {
         "query_name": network.name,
         "kind": network.kind,
-        "params": network.params.to_dict(),
+        "params": asdict(network.params),
         "subset_size": network.subset_size,
         "generated_at": generated_at if generated_at is not None else now_stamp(),
         "engine_version": ENGINE_VERSION,
@@ -292,14 +295,6 @@ class BundleManifest:
     networks: list[dict]
     collisions: list[dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "generated_at": self.generated_at,
-            "engine_version": self.engine_version,
-            "networks": self.networks,
-            "collisions": self.collisions,
-        }
-
 
 def _atomic_write_text(path: Path, text: str) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -386,7 +381,7 @@ def write_bundle(
         )
         _atomic_write_text(
             out / MANIFEST_FILE,
-            json.dumps(manifest.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
+            json.dumps(asdict(manifest), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         )
         for path in (out / NETWORK_DIR).glob("*.json"):
             if path.name not in assigned:
@@ -471,6 +466,14 @@ def validate_bundle(directory: str | Path) -> list[str]:
         rel = entry.get("file") if isinstance(entry, dict) else None
         if not isinstance(rel, str):
             problems.append(f"{MANIFEST_FILE}: networks entry {n} has no string 'file'")
+            continue
+        if not _NETWORK_FILE.fullmatch(rel):
+            problems.append(
+                f"{MANIFEST_FILE}: networks entry {n} file {rel!r} is not {NETWORK_DIR}/<name>.json"
+            )
+            continue
+        if rel in listed:
+            problems.append(f"{MANIFEST_FILE}: networks entry {n} lists {rel} again")
             continue
         listed.add(rel)
         path = root / rel

@@ -139,6 +139,19 @@ def test_timestamp_date_inserted_keeps_date_part(tmp_path):
     assert corpus.publications["pub.2"].date_inserted == date(2022, 1, 10)
 
 
+@pytest.mark.parametrize("text", ["20210101", "2021-W01-1"])
+def test_dates_other_than_yyyy_mm_dd_are_rejected(tmp_path, capsys, text):
+    # date.fromisoformat takes both from Python 3.11 on; 3.10 rejects them
+    bad = dict(PUBS[2], id="pub.bad", date_inserted=text)
+    path = write_jsonl(tmp_path / "corpus.jsonl", PUBS + [bad] + ORGS)
+    corpus, report = ingest([path])
+    assert "pub.bad" not in corpus.publications
+    assert report.skip_reasons == [f"{path}:4: field 'date_inserted' is not a date: {text!r}"]
+    argv = ["build", "--corpus", str(path), "--queries", str(tmp_path), "--out", str(tmp_path)]
+    assert main(argv + ["--today", text]) == 1
+    assert f"--today expects YYYY-MM-DD, got {text!r}" in capsys.readouterr().err
+
+
 def test_unknown_doc_type_folds_into_other(tmp_path):
     rec = dict(PUBS[2], id="pub.4", doc_type="monograph")
     path = write_jsonl(tmp_path / "corpus.jsonl", PUBS + [rec] + ORGS)

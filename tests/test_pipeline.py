@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from datetime import date
 
@@ -147,6 +148,24 @@ def test_fatal_ingest_propagates(tmp_path):
         run_all(make_config(tmp_path, corpus_paths=(str(empty),), query_dir=str(qdir)))
 
 
+def test_run_report_is_replaced_atomically(tmp_path, monkeypatch):
+    run_all(make_config(tmp_path))
+    report_path = tmp_path / "out" / "run_report.json"
+    before = report_path.read_bytes()
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == "run_report.json":
+            raise OSError("injected failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="injected failure"):
+        run_all(make_config(tmp_path, params=NetworkParams(min_edge_weight=2)))
+    assert report_path.read_bytes() == before
+    assert [p.name for p in (tmp_path / "out").iterdir() if p.suffix == ".tmp"] == []
+
+
 def test_run_config_validates_kinds(tmp_path):
     with pytest.raises(ValueError):
         make_config(tmp_path, kinds=())
@@ -179,6 +198,50 @@ def test_cli_build_and_validate_and_report(tmp_path, capsys):
     report = json.loads((out / "run_report.json").read_text("utf-8"))
     assert report["networks_produced"] == 4
     assert report["today"] == "2022-07-01"
+
+
+RUN_REPORT_KEYS = {
+    "engine_version", "generated_at", "today", "params", "corpus", "ingest",
+    "queries_loaded", "processed", "skipped", "networks", "networks_produced",
+}
+PARAMS_KEYS = {"max_nodes", "min_edge_weight", "concept_min_relevance"}
+STATS_KEYS = {"publications", "organisations", "concepts"}
+INGEST_KEYS = {
+    "files", "rows_total", "publications", "organisations", "skipped", "skip_reasons",
+    "unresolved_org_count",
+}
+MANIFEST_KEYS = {"generated_at", "engine_version", "networks", "collisions"}
+MANIFEST_ENTRY_KEYS = {"file", "query", "kind", "nodes", "edges", "subset_size"}
+
+
+def test_report_shapes_are_pinned(tmp_path):
+    corpus = write_corpus(tmp_path)
+    queries = {"all.nql": "year >= 2000\n", "none.nql": "year >= 3000\n", "bad.nql": "year >>\n"}
+    qdir = write_queries(tmp_path, queries)
+    out = tmp_path / "out"
+    argv = ["build", "--corpus", str(corpus), "--queries", str(qdir), "--out", str(out)]
+    assert main(argv + ["--today", "2022-07-01"]) == 0
+    report = json.loads((out / "run_report.json").read_text("utf-8"))
+    assert set(report) == RUN_REPORT_KEYS
+    assert set(report["params"]) == PARAMS_KEYS
+    assert set(report["corpus"]) == STATS_KEYS
+    assert set(report["ingest"]) == INGEST_KEYS
+    assert report["skipped"] == [{"query": "bad", "reason": report["skipped"][0]["reason"]}]
+
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert set(manifest) == MANIFEST_KEYS
+    assert len(report["networks"]) == len(manifest["networks"]) == 4
+    for row, entry in zip(report["networks"], manifest["networks"]):
+        assert set(entry) == MANIFEST_ENTRY_KEYS
+        assert row == {**entry, "empty_subset": entry["subset_size"] == 0}
+    assert [row["empty_subset"] for row in report["networks"]] == [False, False, True, True]
+
+    ingest_path = tmp_path / "ingest.json"
+    assert main(["ingest", "--corpus", str(corpus), "--report", str(ingest_path)]) == 0
+    ingest_report = json.loads(ingest_path.read_text("utf-8"))
+    assert set(ingest_report) == {"ingest", "stats"}
+    assert set(ingest_report["ingest"]) == INGEST_KEYS
+    assert set(ingest_report["stats"]) == STATS_KEYS
 
 
 def test_cli_build_exit_codes(tmp_path):
@@ -244,6 +307,15 @@ def test_cli_sql_params_out_file(tmp_path, capsys):
         "min_edge_weight": 2,
         "concept_min_relevance": 0.5,
     }
+
+
+def test_cli_sql_names_a_query_file_that_is_not_utf8(tmp_path, capsys):
+    query_file = tmp_path / "latin.sql"
+    query_file.write_bytes('SELECT id FROM x WHERE title = "Caf\xe9"'.encode("latin-1"))
+    assert main(["sql", "--kind", "org", "--query-file", str(query_file)]) == 1
+    err = capsys.readouterr().err
+    assert f"{query_file}: not UTF-8 text (" in err
+    assert "Traceback" not in err
 
 
 def test_cli_validate_failure_exit(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import os
 import random
@@ -251,7 +252,7 @@ _META = st.builds(
     lambda name, size: {
         "query_name": name,
         "kind": CONCEPT,
-        "params": NetworkParams().to_dict(),
+        "params": dataclasses.asdict(NetworkParams()),
         "subset_size": size,
         "generated_at": STAMP,
         "engine_version": "0.0.0",
@@ -437,6 +438,22 @@ def test_validate_bundle_without_manifest(tmp_path):
         ("manifest.json", "{}", "manifest.json is not an object with a 'networks' list"),
         ("networks/demo__org.json", b"\xff\xfe{}", "demo__org.json: not valid UTF-8 JSON"),
         ("manifest.json", b"\xff\xfe{}", "manifest.json is not valid UTF-8 JSON"),
+        (
+            "manifest.json",
+            '{"networks": [{"file": "../elsewhere/x.json"}]}',
+            "entry 0 file '../elsewhere/x.json' is not networks/<name>.json",
+        ),
+        (
+            "manifest.json",
+            '{"networks": [{"file": "networks/demo%41.json"}]}',
+            "entry 0 file 'networks/demo%41.json' is not networks/<name>.json",
+        ),
+        (
+            "manifest.json",
+            '{"networks": [{"file": "networks/demo__org.json"},'
+            ' {"file": "networks/demo__org.json"}]}',
+            "entry 1 lists networks/demo__org.json again",
+        ),
     ],
 )
 def test_validate_reports_malformed_bundle_files(
