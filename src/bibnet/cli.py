@@ -137,19 +137,19 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_ingest(args: argparse.Namespace) -> int:
     try:
         corpus, report = ingest(args.corpus, format=args.format)
+        stats = corpus_stats(corpus)
+        if args.report:
+            payload = {"ingest": asdict(report), "stats": asdict(stats)}
+            Path(args.report).write_text(
+                json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
     except (CorpusError, OSError, ValueError) as exc:
         return _fail(str(exc))
     print(report.summary())
-    stats = corpus_stats(corpus)
     print(
         f"corpus: {stats.publications} publications, {stats.organisations} organisations, "
         f"{stats.concepts} distinct concepts"
     )
-    if args.report:
-        payload = {"ingest": asdict(report), "stats": asdict(stats)}
-        Path(args.report).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
     return EXIT_OK
 
 
@@ -189,13 +189,13 @@ def cmd_sql(args: argparse.Namespace) -> int:
                 dataset_prefix=args.dataset_prefix,
             )
         )
+        manifest = json.dumps(rendered.named_params, sort_keys=True, indent=2) + "\n"
+        if args.params_out:
+            Path(args.params_out).write_text(manifest, encoding="utf-8")
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     sys.stdout.write(rendered.sql)
-    manifest = json.dumps(rendered.named_params, sort_keys=True, indent=2) + "\n"
-    if args.params_out:
-        Path(args.params_out).write_text(manifest, encoding="utf-8")
-    else:
+    if not args.params_out:
         sys.stderr.write(manifest)
     return EXIT_OK
 

@@ -10,16 +10,19 @@ Two file formats are supported:
 * JSONL: one record per line, UTF-8. Records carrying a ``name`` field are
   organisations; everything else is a publication.
 * CSV: header row required. A header containing ``name`` marks an
-  organisation file. List-valued cells are ``;``-delimited; concept cells
-  encode each mention as ``text:relevance``.
+  organisation file. A row whose cell count differs from the header's is
+  skipped. List-valued cells are ``;``-delimited; concept cells encode each
+  mention as ``text:relevance``.
 
 Malformed records are skipped and counted; structural corruption (a
-duplicate id) aborts the ingest.
+duplicate id) aborts the ingest. ``title`` is validated but not kept: nothing
+downstream reads it.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import re
 from dataclasses import dataclass, field
@@ -67,7 +70,6 @@ class ConceptMention:
 @dataclass(frozen=True, slots=True)
 class Publication:
     id: str
-    title: str | None = None
     year: int | None = None
     date_inserted: date | None = None
     journal_title: str | None = None
@@ -144,12 +146,30 @@ def _require_str(record: dict, key: str, required: bool = False) -> str | None:
     return value
 
 
-def _coerce_year(value) -> int | None:
+class _Shared:
+    """One object per distinct valid value, for the length of one ingest.
+
+    Org ids, concept texts, journal titles, country codes, years, dates and
+    relevances repeat across records; storing each once is most of the
+    corpus's memory saving. Each kind has its own table, so ``1``, ``1.0`` and ``True`` never
+    share a slot, and only values that passed validation are stored.
+    """
+
+    __slots__ = ("text", "years", "dates", "relevances")
+
+    def __init__(self) -> None:
+        self.text: dict[str, str] = {}
+        self.years: dict[int, int] = {}
+        self.dates: dict[str, date] = {}
+        self.relevances: dict[float, float] = {}
+
+
+def _coerce_year(value, years: dict[int, int]) -> int | None:
     if value is None or value == "":
         return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise _RecordError(f"field 'year' must be an integer, got {value!r}")
-    return value
+    return years.setdefault(value, value)
 
 
 def parse_date(text: str) -> date:
@@ -160,17 +180,23 @@ def parse_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def _coerce_date(value) -> date | None:
+def _coerce_date(value, dates: dict[str, date]) -> date | None:
     """Accept a calendar date or a timestamp; keep the date part only."""
     if value is None or value == "":
         return None
     if not isinstance(value, str):
         raise _RecordError(f"field 'date_inserted' must be a string, got {value!r}")
     head = value.replace("T", " ").split(" ", 1)[0]
-    try:
-        return parse_date(head)
-    except ValueError:
-        raise _RecordError(f"field 'date_inserted' is not a date: {value!r}") from None
+    parsed = dates.get(head)
+    if parsed is None:
+        try:
+            parsed = dates[head] = parse_date(head)
+        except ValueError:
+            raise _RecordError(f"field 'date_inserted' is not a date: {value!r}") from None
+    return parsed
+
+
+_DOC_TYPES = {"article": "article", "preprint": "preprint"}
 
 
 def _coerce_doc_type(value) -> str | None:
@@ -178,13 +204,12 @@ def _coerce_doc_type(value) -> str | None:
         return None
     if not isinstance(value, str):
         raise _RecordError(f"field 'doc_type' must be a string, got {value!r}")
-    value = value.strip().lower()
     # exports carry more kinds (chapters, monographs, ...) than the three
     # this engine distinguishes; everything unknown folds into "other"
-    return value if value in ("article", "preprint") else "other"
+    return _DOC_TYPES.get(value.strip().lower(), "other")
 
 
-def _coerce_org_list(value) -> tuple[str, ...]:
+def _coerce_org_list(value, text: dict[str, str]) -> tuple[str, ...]:
     if value is None:
         return ()
     if not isinstance(value, list):
@@ -195,20 +220,21 @@ def _coerce_org_list(value) -> tuple[str, ...]:
             raise _RecordError(f"research_orgs entries must be strings, got {item!r}")
         item = item.strip()
         if item:
-            orgs.append(item)
+            orgs.append(text.setdefault(item, item))
     return tuple(orgs)
 
 
-def _coerce_relevance(value) -> float:
+def _coerce_relevance(value, relevances: dict[float, float]) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _RecordError(f"concept relevance must be a number, got {value!r}")
     rel = float(value)
     if not 0.0 <= rel <= 1.0:
         raise _RecordError(f"concept relevance {rel} outside [0, 1]")
-    return rel
+    # 0.0 == -0.0, so zero is not shared: a -0.0 stays -0.0
+    return relevances.setdefault(rel, rel) if rel else rel
 
 
-def _coerce_concepts(value) -> tuple[ConceptMention, ...]:
+def _coerce_concepts(value, shared: _Shared) -> tuple[ConceptMention, ...]:
     if value is None:
         return ()
     if not isinstance(value, list):
@@ -223,32 +249,47 @@ def _coerce_concepts(value) -> tuple[ConceptMention, ...]:
         text = text.strip().lower()
         if not text:
             raise _RecordError("concept text is empty after trimming")
-        mentions.append(ConceptMention(text, _coerce_relevance(item.get("relevance"))))
+        relevance = _coerce_relevance(item.get("relevance"), shared.relevances)
+        mentions.append(ConceptMention(shared.text.setdefault(text, text), relevance))
     return tuple(mentions)
 
 
-def parse_publication(record: dict) -> Publication:
-    """Validate one publication record; raises on invariant violations."""
+def _share(value: str | None, text: dict[str, str]) -> str | None:
+    return value if value is None else text.setdefault(value, value)
+
+
+def parse_publication(record: dict, shared: _Shared | None = None) -> Publication:
+    """Validate one publication record; raises on invariant violations.
+
+    ``shared`` holds the values already seen in this ingest; repeated
+    values are returned as the object stored first.
+    """
+    if shared is None:
+        shared = _Shared()
     pid = _require_str(record, "id", required=True)
+    _require_str(record, "title")  # validated, not kept
     return Publication(
         id=pid,
-        title=_require_str(record, "title"),
-        year=_coerce_year(record.get("year")),
-        date_inserted=_coerce_date(record.get("date_inserted")),
-        journal_title=_require_str(record, "journal_title"),
+        year=_coerce_year(record.get("year"), shared.years),
+        date_inserted=_coerce_date(record.get("date_inserted"), shared.dates),
+        journal_title=_share(_require_str(record, "journal_title"), shared.text),
         doc_type=_coerce_doc_type(record.get("doc_type")),
-        research_orgs=_coerce_org_list(record.get("research_orgs")),
-        concepts=_coerce_concepts(record.get("concepts")),
+        research_orgs=_coerce_org_list(record.get("research_orgs"), shared.text),
+        concepts=_coerce_concepts(record.get("concepts"), shared),
     )
 
 
-def parse_organisation(record: dict) -> Organisation:
+def parse_organisation(record: dict, shared: _Shared | None = None) -> Organisation:
+    if shared is None:
+        shared = _Shared()
     oid = _require_str(record, "id", required=True)
     name = _require_str(record, "name", required=True)
     country = _require_str(record, "country_code")
     if country is not None and len(country) != 2:
         raise _RecordError(f"country_code must be 2 letters, got {country!r}")
-    return Organisation(id=oid, name=name, country_code=country)
+    return Organisation(
+        id=shared.text.setdefault(oid, oid), name=name, country_code=_share(country, shared.text)
+    )
 
 
 def _lines(path: Path, newline: str | None = None) -> Iterator[str]:
@@ -279,8 +320,10 @@ def _split_list_cell(cell: str) -> list[str]:
     return [part for part in (p.strip() for p in cell.split(";")) if part]
 
 
-def _csv_to_record(row: dict, is_org_file: bool) -> dict:
-    record: dict = {k: v for k, v in row.items() if k is not None and v not in (None, "")}
+def _csv_to_record(header: list[str], cells: list[str], is_org_file: bool) -> dict:
+    if len(cells) != len(header):
+        raise _RecordError(f"cell count {len(cells)} differs from the header's {len(header)}")
+    record: dict = {k: v for k, v in zip(header, cells) if v}
     if is_org_file:
         return record
     if "year" in record:
@@ -305,11 +348,13 @@ def _csv_to_record(row: dict, is_org_file: bool) -> dict:
 
 
 def _iter_csv(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
-    reader = csv.DictReader(_lines(path, newline=""))
-    is_org_file = "name" in (reader.fieldnames or [])
-    for line_no, row in enumerate(reader, start=2):
+    rows = csv.reader(_lines(path, newline=""))
+    header = next(rows, [])
+    is_org_file = "name" in header
+    # skip reasons number rows from the header as row 1; blank rows are not counted
+    for line_no, cells in enumerate(filter(None, rows), start=2):
         try:
-            yield line_no, _csv_to_record(row, is_org_file), is_org_file
+            yield line_no, _csv_to_record(header, cells, is_org_file), is_org_file
         except _RecordError as exc:
             yield line_no, exc, is_org_file
 
@@ -326,12 +371,15 @@ def _detect_format(path: Path, declared: str | None) -> str:
 
 
 def expand_corpus_paths(paths: Iterable[str | Path]) -> list[Path]:
-    """Resolve files and directories (scanned for *.jsonl / *.csv) to files."""
+    """Resolve files and directories (scanned for regular *.jsonl / *.csv
+    files; subdirectories are not entered) to files."""
     out: list[Path] = []
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            found = sorted(q for q in p.iterdir() if q.suffix.lower() in _FORMATS_BY_SUFFIX)
+            found = sorted(
+                q for q in p.iterdir() if q.suffix.lower() in _FORMATS_BY_SUFFIX and q.is_file()
+            )
             if not found:
                 raise FileNotFoundError(f"no .jsonl or .csv files in directory {p}")
             out.extend(found)
@@ -378,7 +426,8 @@ def _parse_files(
     files: list[Path], format: str | None, report: IngestReport
 ) -> Iterator[Publication | Organisation]:
     """Valid records of every file in order; malformed rows are skipped and
-    counted in ``report``."""
+    counted in ``report``. Repeated values are stored once across all files."""
+    shared = _Shared()
     for path in files:
         source = str(path)
         rows = _iter_jsonl(path) if _detect_format(path, format) == "jsonl" else _iter_csv(path)
@@ -387,7 +436,7 @@ def _parse_files(
             try:
                 if isinstance(item, _RecordError):
                     raise item
-                record = parse_organisation(item) if is_org else parse_publication(item)
+                record = (parse_organisation if is_org else parse_publication)(item, shared)
             except _RecordError as exc:
                 report.record_skip(source, line_no, str(exc))
                 continue
@@ -404,7 +453,15 @@ def ingest(paths: Iterable[str | Path], format: str | None = None) -> tuple[Corp
     """
     files = expand_corpus_paths(paths)
     report = IngestReport(files=[str(p) for p in files])
-    corpus = _assemble(_parse_files(files, format, report))
+    # The corpus holds no reference cycles, so the cyclic collector would only
+    # rescan the ever-growing heap of new records while they are parsed.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        corpus = _assemble(_parse_files(files, format, report))
+    finally:
+        if enabled:
+            gc.enable()
     report.publications = len(corpus.publications)
     report.organisations = len(corpus.organisations)
     report.unresolved_org_count = len(corpus.unresolved_orgs)

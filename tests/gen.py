@@ -71,10 +71,10 @@ def random_corpus(
             ConceptMention(rng.choice(concept_pool), round(rng.random(), 3))
             for _ in range(k_concepts)
         )
+        rng.random()  # the draw that once chose a title; kept so seeded corpora do not change
         pubs.append(
             Publication(
                 id=f"pub.{i}",
-                title=f"Title {i}" if rng.random() < 0.8 else None,
                 year=rng.randint(2018, 2023) if rng.random() < 0.85 else None,
                 date_inserted=(
                     start + timedelta(days=rng.randint(0, 180)) if rng.random() < 0.85 else None

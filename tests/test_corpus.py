@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import shutil
@@ -13,6 +14,7 @@ from bibnet.corpus import (
     CorpusError,
     DuplicateIdError,
     EmptyCorpusError,
+    Publication,
     corpus_stats,
     ingest,
     parse_publication,
@@ -76,6 +78,97 @@ def test_ingest_skips_out_of_range_relevance(tmp_path):
     assert "pub.bad" not in corpus.publications
     assert report.skipped == 1
     assert "relevance" in report.skip_reasons[0]
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        ({"id": "pub.bad", "title": 7}, "field 'title' must be a string, got int"),
+        ({"id": "pub.bad", "year": "2021"}, "field 'year' must be an integer, got '2021'"),
+        (
+            {"id": "pub.bad", "research_orgs": "grid.1"},
+            "field 'research_orgs' must be a list, got str",
+        ),
+        (
+            {"id": "pub.bad", "concepts": [{"concept": "x", "relevance": True}]},
+            "concept relevance must be a number, got True",
+        ),
+    ],
+)
+def test_invalid_field_skips_the_record_with_its_reason(tmp_path, record, reason):
+    path = write_jsonl(tmp_path / "corpus.jsonl", PUBS + [record] + ORGS)
+    corpus, report = ingest([path])
+    assert "pub.bad" not in corpus.publications
+    assert report.skip_reasons == [f"{path}:4: {reason}"]
+
+
+def test_title_is_validated_but_not_stored():
+    # validation is pinned by the skip-reason test above
+    assert "title" not in Publication.__dataclass_fields__
+
+
+def test_repeated_values_are_stored_once(tmp_path):
+    # separate json.loads calls give each record its own copies of equal values
+    shared = {
+        "year": 2021,
+        "date_inserted": "2021-05-01",
+        "journal_title": "Nature",
+        "research_orgs": ["grid.1"],
+        "concepts": [{"concept": "Masks", "relevance": 0.4}],
+    }
+    first = dict(shared, id="pub.a")
+    second = dict(shared, id="pub.b", date_inserted="2021-05-01T08:00:00Z")
+    path = write_jsonl(tmp_path / "corpus.jsonl", [first, second] + ORGS)
+    corpus, _ = ingest([path])
+    a, b = corpus.publications["pub.a"], corpus.publications["pub.b"]
+    assert a.year is b.year
+    assert a.date_inserted is b.date_inserted
+    assert a.journal_title is b.journal_title
+    assert a.research_orgs[0] is b.research_orgs[0] is corpus.organisations["grid.1"].id
+    assert a.concepts[0].concept is b.concepts[0].concept
+    assert a.concepts[0].relevance is b.concepts[0].relevance
+
+
+def test_equal_values_of_different_types_are_not_shared(tmp_path):
+    records = [
+        {
+            "id": "pub.a",
+            "concepts": [{"concept": "x", "relevance": 1.0}, {"concept": "y", "relevance": 0.0}],
+        },
+        {"id": "pub.b", "year": 1, "concepts": [{"concept": "x", "relevance": -0.0}]},
+    ]
+    path = write_jsonl(tmp_path / "corpus.jsonl", records)
+    corpus, _ = ingest([path])
+    pub = corpus.publications["pub.b"]
+    assert type(pub.year) is int
+    assert str(pub.concepts[0].relevance) == "-0.0"
+
+
+@pytest.fixture
+def collector_state():
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", ["ok", "empty", "duplicate"])
+def test_ingest_restores_the_collector_state(tmp_path, collector_state, enabled, outcome):
+    records = {"ok": PUBS + ORGS, "empty": ORGS, "duplicate": PUBS + [PUBS[0]]}[outcome]
+    path = write_jsonl(tmp_path / "corpus.jsonl", records)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if outcome == "ok":
+        ingest([path])
+    else:
+        with pytest.raises(EmptyCorpusError if outcome == "empty" else DuplicateIdError):
+            ingest([path])
+    assert gc.isenabled() is enabled
 
 
 def test_duplicate_publication_id_across_files_is_fatal(tmp_path):
@@ -203,6 +296,27 @@ def test_csv_ingest_with_list_cells(tmp_path):
     assert corpus.publications["pub.11"].date_inserted is None
 
 
+def test_csv_row_whose_cell_count_differs_from_the_header_is_skipped(tmp_path):
+    pubs_csv = tmp_path / "pubs.csv"
+    pubs_csv.write_text(
+        "id,title,year,research_orgs\n"
+        "p1,One,2021,grid.1\n"
+        "\n"
+        "p4,Title,2021,grid.1,grid.2\n"
+        "p3\n"
+        "p5,Five,2020,\n",
+        encoding="utf-8",
+    )
+    corpus, report = ingest([pubs_csv])
+    assert sorted(corpus.publications) == ["p1", "p5"]
+    assert report.rows_total == 4
+    # rows are numbered from the header as row 1; the blank line is not counted
+    assert report.skip_reasons == [
+        f"{pubs_csv}:3: cell count 5 differs from the header's 4",
+        f"{pubs_csv}:4: cell count 1 differs from the header's 4",
+    ]
+
+
 def test_invalid_json_line_is_skipped_and_counted(tmp_path):
     path = tmp_path / "corpus.jsonl"
     lines = [json.dumps(r) for r in PUBS + ORGS]
@@ -250,6 +364,14 @@ def test_directory_expansion(tmp_path):
     corpus, _ = ingest([tmp_path])
     assert len(corpus.publications) == 3
     assert len(corpus.organisations) == 2
+
+
+def test_directory_expansion_takes_regular_files_only(tmp_path):
+    write_jsonl(tmp_path / "one.jsonl", PUBS + ORGS)
+    (tmp_path / "archive.json").mkdir()
+    corpus, report = ingest([tmp_path])
+    assert report.files == [str(tmp_path / "one.jsonl")]
+    assert len(corpus.publications) == 3
 
 
 def test_parse_publication_rejects_bool_year():

@@ -253,7 +253,6 @@ def test_org_list_order_never_matters(seed):
         shuffled_pubs.append(
             Publication(
                 id=pub.id,
-                title=pub.title,
                 year=pub.year,
                 date_inserted=pub.date_inserted,
                 journal_title=pub.journal_title,

@@ -309,6 +309,22 @@ def test_cli_sql_params_out_file(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("command", ["ingest", "sql"])
+def test_cli_output_in_missing_directory_is_an_error(tmp_path, capsys, command):
+    target = tmp_path / "nodir" / "out.json"
+    if command == "ingest":
+        argv = ["ingest", "--corpus", str(write_corpus(tmp_path)), "--report", str(target)]
+    else:
+        query_file = tmp_path / "sub.sql"
+        query_file.write_text("select id from somewhere", encoding="utf-8")
+        argv = ["sql", "--kind", "org", "--query-file", str(query_file)]
+        argv += ["--params-out", str(target)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert captured.out == ""
+
+
 def test_cli_sql_names_a_query_file_that_is_not_utf8(tmp_path, capsys):
     query_file = tmp_path / "latin.sql"
     query_file.write_bytes('SELECT id FROM x WHERE title = "Caf\xe9"'.encode("latin-1"))
