@@ -164,7 +164,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             today=args.today,
             corpus_format=args.format,
         )
-        report, _ = run_all(config)
+        report = run_all(config)
     except (CorpusError, NoRunnableQueriesError, BundleLockError, OSError, ValueError) as exc:
         return _fail(str(exc))
     print(report.summary())

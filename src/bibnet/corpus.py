@@ -15,8 +15,8 @@ Two file formats are supported:
   mention as ``text:relevance``.
 
 Malformed records are skipped and counted; structural corruption (a
-duplicate id) aborts the ingest. ``title`` is validated but not kept: nothing
-downstream reads it.
+duplicate id, a CSV header that names a column twice) aborts the ingest.
+``title`` is validated but not kept: nothing downstream reads it.
 """
 
 from __future__ import annotations
@@ -350,13 +350,20 @@ def _csv_to_record(header: list[str], cells: list[str], is_org_file: bool) -> di
 def _iter_csv(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
     rows = csv.reader(_lines(path, newline=""))
     header = next(rows, [])
+    for n, column in enumerate(header):
+        if column in header[:n]:
+            raise CorpusError(f"{path}: CSV header names column {column!r} twice")
     is_org_file = "name" in header
-    # skip reasons number rows from the header as row 1; blank rows are not counted
-    for line_no, cells in enumerate(filter(None, rows), start=2):
-        try:
-            yield line_no, _csv_to_record(header, cells, is_org_file), is_org_file
-        except _RecordError as exc:
-            yield line_no, exc, is_org_file
+    # a row is numbered by the physical line it starts on: blank lines and
+    # the extra lines of quoted multi-line cells count
+    line_no = rows.line_num + 1
+    for cells in rows:
+        if cells:
+            try:
+                yield line_no, _csv_to_record(header, cells, is_org_file), is_org_file
+            except _RecordError as exc:
+                yield line_no, exc, is_org_file
+        line_no = rows.line_num + 1
 
 
 def _detect_format(path: Path, declared: str | None) -> str:

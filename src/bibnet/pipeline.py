@@ -77,7 +77,7 @@ class RunReport:
         return "\n".join(lines)
 
 
-def run_all(config: RunConfig) -> tuple[RunReport, IngestReport]:
+def run_all(config: RunConfig) -> RunReport:
     """Run the full pipeline; fatal ingest/folder errors propagate."""
     corpus, ingest_report = ingest(config.corpus_paths, format=config.corpus_format)
     folder = load_query_folder(config.query_dir)
@@ -116,4 +116,4 @@ def run_all(config: RunConfig) -> tuple[RunReport, IngestReport]:
         Path(config.out_dir) / RUN_REPORT_FILE,
         json.dumps(report.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
     )
-    return report, ingest_report
+    return report

@@ -7,15 +7,13 @@ an ``index.html`` with relative links, and a ``manifest.json`` table of
 contents. JSON is emitted with sorted keys and LF endings so reruns are
 diffable; writes are temp-then-rename and guarded by a lock file.
 
-Network files have exactly the layout of ``json.dumps(...,
+Network files have exactly the layout of ``json.dumps(document,
 sort_keys=True, indent=2, ensure_ascii=False)`` plus a final newline.
 ``json`` encodes with its C encoder only when ``indent`` is None, so
-``dumps_document`` writes the usual document shape itself: items and links
+``dumps_document`` lays the document's rows out itself: items and links
 through fixed templates, labels through ``json.encoder.encode_basestring``
 (the function ``json.dumps`` uses for them), and ``bibnet_meta`` through
-``json.dumps``. Any other shape (another key, a weight besides
-``Documents``, an id, count or strength that is not exactly ``int``, a
-label that is not a ``str``) is written by ``json.dumps`` itself.
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -52,13 +50,13 @@ class BundleLockError(RuntimeError):
 
 @dataclass(frozen=True)
 class VosDocument:
-    """A network document held as the JSON it is written as: ``items`` and
-    ``links`` are the lists under ``network``, ``meta`` is the
-    ``bibnet_meta`` object. ``document_to_dict`` and ``document_from_dict``
-    share these parts with the dict rather than copy them."""
+    """A network document as the rows it is written as: ``items`` holds
+    ``(id, label, documents)`` and ``links`` holds ``(source_id, target_id,
+    strength)``, every field an ``int`` but the ``str`` label; ``meta`` is
+    the ``bibnet_meta`` object."""
 
-    items: list[dict]
-    links: list[dict]
+    items: list[tuple[int, str, int]]
+    links: list[tuple[int, int, int]]
     meta: dict
 
 
@@ -73,14 +71,11 @@ def to_vos_json(network: Network, generated_at: str | None = None) -> VosDocumen
     edge becomes one link whose endpoints are ordered source_id < target_id.
     """
     node_ids = {node.key: i for i, node in enumerate(network.nodes, start=1)}
-    items = [
-        {"id": i, "label": node.label, "weights": {DOCUMENTS_WEIGHT: node.pubs}}
-        for i, node in enumerate(network.nodes, start=1)
-    ]
+    items = [(i, node.label, node.pubs) for i, node in enumerate(network.nodes, start=1)]
     links = []
     for edge in network.edges:
         ia, ib = node_ids[edge.a], node_ids[edge.b]
-        links.append({"source_id": min(ia, ib), "target_id": max(ia, ib), "strength": edge.weight})
+        links.append((min(ia, ib), max(ia, ib), edge.weight))
     meta = {
         "query_name": network.name,
         "kind": network.kind,
@@ -90,14 +85,6 @@ def to_vos_json(network: Network, generated_at: str | None = None) -> VosDocumen
         "engine_version": ENGINE_VERSION,
     }
     return VosDocument(items=items, links=links, meta=meta)
-
-
-def document_to_dict(doc: VosDocument) -> dict:
-    return {"network": {"items": doc.items, "links": doc.links}, META_KEY: doc.meta}
-
-
-def document_from_dict(data: dict) -> VosDocument:
-    return VosDocument(data["network"]["items"], data["network"]["links"], data[META_KEY])
 
 
 # One item and one link as json.dumps(..., indent=2) lays them out inside
@@ -110,56 +97,17 @@ _LINK = (
     '      {\n        "source_id": %d,\n        "strength": %d,\n'
     '        "target_id": %d\n      }'
 )
-_ITEM_KEYS = frozenset(("id", "label", "weights"))
-_WEIGHT_KEYS = frozenset((DOCUMENTS_WEIGHT,))
-_LINK_KEYS = frozenset(("source_id", "strength", "target_id"))
 
 
 def _array(parts: list[str]) -> str:
     return "[\n" + ",\n".join(parts) + "\n    ]" if parts else "[]"
 
 
-def _items_text(items: object) -> str | None:
-    """The ``items`` array as json.dumps lays it out, or None for another shape."""
-    if type(items) is not list:
-        return None
-    parts = []
-    for item in items:
-        if type(item) is not dict or item.keys() != _ITEM_KEYS:
-            return None
-        item_id, label, weights = item["id"], item["label"], item["weights"]
-        if type(weights) is not dict or weights.keys() != _WEIGHT_KEYS:
-            return None
-        count = weights[DOCUMENTS_WEIGHT]
-        if type(item_id) is not int or type(label) is not str or type(count) is not int:
-            return None
-        parts.append(_ITEM % (item_id, encode_basestring(label), count))
-    return _array(parts)
-
-
-def _links_text(links: object) -> str | None:
-    """The ``links`` array as json.dumps lays it out, or None for another shape."""
-    if type(links) is not list:
-        return None
-    parts = []
-    for link in links:
-        if type(link) is not dict or link.keys() != _LINK_KEYS:
-            return None
-        source, strength, target = link["source_id"], link["strength"], link["target_id"]
-        if type(source) is not int or type(strength) is not int or type(target) is not int:
-            return None
-        parts.append(_LINK % (source, strength, target))
-    return _array(parts)
-
-
 def dumps_document(doc: VosDocument) -> str:
-    """The document as ``json.dumps(document_to_dict(doc), sort_keys=True,
-    indent=2, ensure_ascii=False) + "\\n"``, byte for byte."""
-    items = _items_text(doc.items)
-    links = _links_text(doc.links) if items is not None else None
-    if links is None:
-        text = json.dumps(document_to_dict(doc), sort_keys=True, indent=2, ensure_ascii=False)
-        return text + "\n"
+    """The document's dict form as ``json.dumps(..., sort_keys=True,
+    indent=2, ensure_ascii=False) + "\\n"`` writes it, byte for byte."""
+    items = _array([_ITEM % (i, encode_basestring(label), n) for i, label, n in doc.items])
+    links = _array([_LINK % (source, weight, target) for source, target, weight in doc.links])
     meta = json.dumps(doc.meta, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", "\n  ")
     return (
         f'{{\n  "{META_KEY}": {meta},\n  "network": {{\n    "items": {items},\n'

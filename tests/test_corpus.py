@@ -310,11 +310,26 @@ def test_csv_row_whose_cell_count_differs_from_the_header_is_skipped(tmp_path):
     corpus, report = ingest([pubs_csv])
     assert sorted(corpus.publications) == ["p1", "p5"]
     assert report.rows_total == 4
-    # rows are numbered from the header as row 1; the blank line is not counted
+    # rows are numbered by physical line, the blank line included
     assert report.skip_reasons == [
-        f"{pubs_csv}:3: cell count 5 differs from the header's 4",
-        f"{pubs_csv}:4: cell count 1 differs from the header's 4",
+        f"{pubs_csv}:4: cell count 5 differs from the header's 4",
+        f"{pubs_csv}:5: cell count 1 differs from the header's 4",
     ]
+
+
+def test_csv_skip_reason_names_the_physical_line_of_the_row(tmp_path):
+    ml_csv = tmp_path / "ml.csv"
+    # a quoted cell spans lines 2-3 and line 5 is blank, so p3 is on line 6
+    ml_csv.write_text('id,year\n"p1\n",2020\np2,2021\n\np3,x\n', encoding="utf-8")
+    _, report = ingest([ml_csv])
+    assert report.skip_reasons == [f"{ml_csv}:6: field 'year' must be an integer, got 'x'"]
+
+
+def test_csv_header_naming_a_column_twice_is_fatal(tmp_path):
+    pubs_csv = tmp_path / "pubs.csv"
+    pubs_csv.write_text("id,year,year,research_orgs\np1,2020,2021,grid.1\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"pubs\.csv: CSV header names column 'year' twice"):
+        ingest([pubs_csv])
 
 
 def test_invalid_json_line_is_skipped_and_counted(tmp_path):

@@ -58,7 +58,7 @@ def make_config(tmp_path, **kwargs):
 
 
 def test_two_queries_two_kinds_make_four_networks(tmp_path):
-    report, _ = run_all(make_config(tmp_path))
+    report = run_all(make_config(tmp_path))
     assert report.queries_loaded == 2
     assert report.processed == 2
     assert report.networks_produced == 4
@@ -77,7 +77,7 @@ def test_two_queries_two_kinds_make_four_networks(tmp_path):
 
 def test_empty_subset_networks_are_emitted_and_flagged(tmp_path):
     qdir = write_queries(tmp_path, {"none.nql": "year >= 3000\n", "all.nql": "year >= 2000\n"})
-    report, _ = run_all(make_config(tmp_path, query_dir=str(qdir)))
+    report = run_all(make_config(tmp_path, query_dir=str(qdir)))
     empty_rows = [r for r in report.networks if r["query"] == "none"]
     assert len(empty_rows) == 2
     assert all(r["empty_subset"] and r["nodes"] == 0 for r in empty_rows)
@@ -89,7 +89,7 @@ def test_broken_query_is_isolated(tmp_path):
         tmp_path,
         {"a.nql": "year >= 2000\n", "b.nql": "year >>\n", "c.nql": "year >= 2022\n"},
     )
-    report, _ = run_all(make_config(tmp_path, query_dir=str(qdir)))
+    report = run_all(make_config(tmp_path, query_dir=str(qdir)))
     assert report.queries_loaded == 3
     assert report.processed == 2
     assert len(report.skipped) == 1
@@ -98,7 +98,7 @@ def test_broken_query_is_isolated(tmp_path):
 
 
 def test_org_only_kind(tmp_path):
-    report, _ = run_all(make_config(tmp_path, kinds=(ORGANISATION,)))
+    report = run_all(make_config(tmp_path, kinds=(ORGANISATION,)))
     assert {r["kind"] for r in report.networks} == {ORGANISATION}
     assert report.networks_produced == 2
 

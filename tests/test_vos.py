@@ -27,10 +27,6 @@ from bibnet.vos import (
     BundleLockError,
     LOCK_FILE,
     VosDocument,
-    _items_text,
-    _links_text,
-    document_from_dict,
-    document_to_dict,
     dumps_document,
     slugify,
     to_vos_json,
@@ -50,23 +46,38 @@ def abc_network(abc_corpus, **params_kwargs) -> Network:
     return build_network(abc_corpus, subset, ORGANISATION, params)
 
 
+def abc_data(abc_corpus) -> dict:
+    """The parsed network file of the three-org network."""
+    return json.loads(dumps_document(to_vos_json(abc_network(abc_corpus), generated_at=STAMP)))
+
+
+def as_dict(doc: VosDocument) -> dict:
+    """The JSON object a network file holds, built from the document's rows."""
+    return {
+        "network": {
+            "items": [
+                {"id": i, "label": label, "weights": {"Documents": n}} for i, label, n in doc.items
+            ],
+            "links": [{"source_id": s, "target_id": t, "strength": w} for s, t, w in doc.links],
+        },
+        "bibnet_meta": doc.meta,
+    }
+
+
 def test_three_org_network_maps_to_items_and_links(abc_corpus):
     doc = to_vos_json(abc_network(abc_corpus), generated_at=STAMP)
-    assert [it["id"] for it in doc.items] == [1, 2, 3]
-    assert [it["label"] for it in doc.items] == ["Org A (A)", "Org B (B)", "Org C (C)"]
-    assert [it["weights"]["Documents"] for it in doc.items] == [3, 2, 1]
+    assert doc.items == [(1, "Org A (A)", 3), (2, "Org B (B)", 2), (3, "Org C (C)", 1)]
     assert len(doc.links) == 3
-    assert sorted(ln["strength"] for ln in doc.links) == [1, 1, 2]
-    for ln in doc.links:
-        assert 1 <= ln["source_id"] < ln["target_id"] <= 3
+    assert sorted(strength for _, _, strength in doc.links) == [1, 1, 2]
+    for source, target, _ in doc.links:
+        assert 1 <= source < target <= 3
 
 
 def test_empty_network_is_schema_valid():
     network = Network(
         kind=CONCEPT, name="empty", params=NetworkParams(), nodes=(), edges=(), subset_size=0
     )
-    doc = to_vos_json(network, generated_at=STAMP)
-    data = document_to_dict(doc)
+    data = json.loads(dumps_document(to_vos_json(network, generated_at=STAMP)))
     assert data["network"] == {"items": [], "links": []}
     assert validate_document_dict(data) == []
 
@@ -79,13 +90,12 @@ def test_label_carries_parenthesized_id_verbatim():
         corpus, make_subset(corpus.publications), ORGANISATION, NetworkParams(min_edge_weight=1)
     )
     doc = to_vos_json(network, generated_at=STAMP)
-    assert doc.items[0]["label"] == "Harvard University (grid.38142.3c)"
+    assert doc.items[0][1] == "Harvard University (grid.38142.3c)"
 
 
 def test_round_trip_through_emitted_json(abc_corpus):
     doc = to_vos_json(abc_network(abc_corpus), generated_at=STAMP)
-    parsed = document_from_dict(json.loads(dumps_document(doc)))
-    assert parsed == doc
+    assert json.loads(dumps_document(doc)) == as_dict(doc)
 
 
 def test_round_trip_on_random_networks():
@@ -95,21 +105,21 @@ def test_round_trip_on_random_networks():
         subset = random_subset(rng, corpus)
         network = build_network(corpus, subset, ORGANISATION, random_params(rng))
         doc = to_vos_json(network, generated_at=STAMP)
-        assert document_from_dict(json.loads(dumps_document(doc))) == doc
+        assert json.loads(dumps_document(doc)) == as_dict(doc)
         assert validate_document_dict(json.loads(dumps_document(doc))) == []
 
 
 def test_validator_flags_broken_documents(abc_corpus):
-    data = document_to_dict(to_vos_json(abc_network(abc_corpus), generated_at=STAMP))
+    data = abc_data(abc_corpus)
     data["network"]["links"][0]["target_id"] = 99
     problems = validate_document_dict(data)
     assert any("missing item id" in p for p in problems)
 
-    data = document_to_dict(to_vos_json(abc_network(abc_corpus), generated_at=STAMP))
+    data = abc_data(abc_corpus)
     data["network"]["items"][0]["id"] = 7
     assert any("consecutive" in p for p in validate_document_dict(data))
 
-    data = document_to_dict(to_vos_json(abc_network(abc_corpus), generated_at=STAMP))
+    data = abc_data(abc_corpus)
     del data["bibnet_meta"]["params"]
     assert any(p.startswith("schema:") for p in validate_document_dict(data))
 
@@ -161,7 +171,7 @@ def _base_documents(rng: random.Random) -> list[dict]:
         corpus = random_corpus(rng, max_pubs=8)
         params = NetworkParams(max_nodes=4, min_edge_weight=1)
         network = build_network(corpus, random_subset(rng, corpus), rng.choice(KINDS), params)
-        docs.append(document_to_dict(to_vos_json(network, generated_at=STAMP)))
+        docs.append(json.loads(dumps_document(to_vos_json(network, generated_at=STAMP))))
     docs[0]["network"]["items"][:1] = [
         {"id": 1, "label": "a", "weights": {"Documents": 2, "Links": 1.5}}
     ]
@@ -189,7 +199,7 @@ def test_nan_relevance_is_rejected_by_hand_validator_only(abc_corpus):
     import jsonschema
 
     schema = json.loads(resources.files("bibnet").joinpath("vos_schema.json").read_text("utf-8"))
-    data = document_to_dict(to_vos_json(abc_network(abc_corpus), generated_at=STAMP))
+    data = abc_data(abc_corpus)
     data["bibnet_meta"]["params"]["concept_min_relevance"] = float("nan")
     assert jsonschema.Draft202012Validator(schema).is_valid(data)
     assert any(
@@ -199,7 +209,7 @@ def test_nan_relevance_is_rejected_by_hand_validator_only(abc_corpus):
 
 
 def test_integer_fields_follow_json_schema(abc_corpus):
-    data = document_to_dict(to_vos_json(abc_network(abc_corpus), generated_at=STAMP))
+    data = abc_data(abc_corpus)
     data["network"]["items"][0]["id"] = 1.0
     data["bibnet_meta"]["subset_size"] = 0.0
     assert validate_document_dict(data) == []
@@ -223,7 +233,7 @@ def test_cli_import_leaves_http_server_out():
 
 def json_dumps_document(doc: VosDocument) -> str:
     """The call dumps_document must match byte for byte."""
-    return json.dumps(document_to_dict(doc), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(as_dict(doc), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 _LABEL_CHARS = st.one_of(
@@ -233,21 +243,8 @@ _LABEL_CHARS = st.one_of(
 )
 _LABELS = st.text(_LABEL_CHARS, max_size=12)
 _INTS = st.integers(-(2**70), 2**70)
-_ITEMS = st.lists(
-    st.builds(
-        lambda i, label, n: {"id": i, "label": label, "weights": {"Documents": n}},
-        _INTS,
-        _LABELS,
-        _INTS,
-    ),
-    max_size=6,
-)
-_LINKS = st.lists(
-    st.builds(
-        lambda s, w, t: {"source_id": s, "strength": w, "target_id": t}, _INTS, _INTS, _INTS
-    ),
-    max_size=6,
-)
+_ITEMS = st.lists(st.tuples(_INTS, _LABELS, _INTS), max_size=6)
+_LINKS = st.lists(st.tuples(_INTS, _INTS, _INTS), max_size=6)
 _META = st.builds(
     lambda name, size: {
         "query_name": name,
@@ -265,8 +262,8 @@ _META = st.builds(
 @given(_ITEMS, _LINKS, _META)
 @settings(max_examples=300, deadline=None)
 @example([], [], {})
-@example([{"id": 1, "label": "a", "weights": {"Documents": 1}}], [], {"query_name": ""})
-@example([], [{"source_id": 1, "strength": 2, "target_id": 3}], {"query_name": "\u2028"})
+@example([(1, "a", 1)], [], {"query_name": ""})
+@example([], [(1, 3, 2)], {"query_name": "\u2028"})
 def test_writer_matches_json_dumps(items, links, meta):
     doc = VosDocument(items, links, meta)
     assert dumps_document(doc) == json_dumps_document(doc)
@@ -279,35 +276,7 @@ def test_writer_matches_json_dumps_on_built_networks():
         for kind in KINDS:
             network = build_network(corpus, random_subset(rng, corpus), kind, random_params(rng))
             doc = to_vos_json(network, generated_at=STAMP)
-            # documents from to_vos_json never need the json.dumps fallback
-            assert _items_text(doc.items) is not None and _links_text(doc.links) is not None
             assert dumps_document(doc) == json_dumps_document(doc)
-
-
-def _fallback_documents() -> dict[str, VosDocument]:
-    item = {"id": 1, "label": "a", "weights": {"Documents": 2}}
-    link = {"source_id": 1, "strength": 3, "target_id": 2}
-    meta = {"query_name": "q"}
-    return {
-        "extra numeric weight": VosDocument(
-            [{**item, "weights": {"Documents": 2, "Links": 1.5}}], [link], meta
-        ),
-        "bool id": VosDocument([{**item, "id": True}], [link], meta),
-        "bool count": VosDocument([{**item, "weights": {"Documents": True}}], [link], meta),
-        "float strength": VosDocument([item], [{**link, "strength": 2.5}], meta),
-        "bool strength": VosDocument([item], [{**link, "strength": True}], meta),
-        "extra item key": VosDocument([{**item, "x": 7}], [link], meta),
-        "extra link key": VosDocument([item], [{**link, "x": 7}], meta),
-        "missing link key": VosDocument([item], [{"source_id": 1, "target_id": 2}], meta),
-        "non-string label": VosDocument([{**item, "label": 5}], [link], meta),
-        "tuple of links": VosDocument([item], (link,), meta),
-    }
-
-
-@pytest.mark.parametrize("case", sorted(_fallback_documents()))
-def test_writer_falls_back_to_json_dumps_for_other_shapes(case):
-    doc = _fallback_documents()[case]
-    assert dumps_document(doc) == json_dumps_document(doc)
 
 
 def test_slug_rule():
