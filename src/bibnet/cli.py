@@ -6,7 +6,8 @@ BigQuery templates for cloud execution), ``serve`` (local static server
 for a bundle), ``validate`` (schema-check a bundle).
 
 Exit codes: 0 success, 1 fatal configuration or I/O error, 2 the build ran
-but produced zero networks.
+but produced zero networks. ``main`` alone turns a fatal error into one
+``error: <message>`` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from pathlib import Path
 from bibnet.corpus import CorpusError, corpus_stats, ingest, parse_date
 from bibnet.network import NetworkParams, normalize_kind
 from bibnet.pipeline import RunConfig, run_all
-from bibnet.query import NoRunnableQueriesError
 from bibnet.sqlgen import DEFAULT_DATASET_PREFIX, SqlRequest, render_sql
 from bibnet.version import ENGINE_VERSION
 from bibnet.vos import BundleLockError, validate_bundle
@@ -88,12 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", help="load corpus files and print an ingest report")
     p_ingest.add_argument("--corpus", nargs="+", required=True, help="files or directories")
-    p_ingest.add_argument("--format", choices=("jsonl", "csv"), default=None)
     p_ingest.add_argument("--report", default=None, help="write the machine-readable report here")
 
     p_build = sub.add_parser("build", help="build all networks for a folder of query files")
     p_build.add_argument("--corpus", nargs="+", required=True, help="files or directories")
-    p_build.add_argument("--format", choices=("jsonl", "csv"), default=None)
     p_build.add_argument("--queries", required=True, help="directory of .nql query files")
     p_build.add_argument("--out", required=True, help="output bundle directory")
     p_build.add_argument(
@@ -135,16 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    try:
-        corpus, report = ingest(args.corpus, format=args.format)
-        stats = corpus_stats(corpus)
-        if args.report:
-            payload = {"ingest": asdict(report), "stats": asdict(stats)}
-            Path(args.report).write_text(
-                json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
-    except (CorpusError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+    corpus, report = ingest(args.corpus)
+    stats = corpus_stats(corpus)
+    if args.report:
+        payload = {"ingest": asdict(report), "stats": asdict(stats)}
+        Path(args.report).write_text(
+            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
     print(report.summary())
     print(
         f"corpus: {stats.publications} publications, {stats.organisations} organisations, "
@@ -154,19 +149,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        config = RunConfig(
-            corpus_paths=tuple(args.corpus),
-            query_dir=args.queries,
-            out_dir=args.out,
-            kinds=args.kinds,
-            params=_params_from_args(args),
-            today=args.today,
-            corpus_format=args.format,
-        )
-        report = run_all(config)
-    except (CorpusError, NoRunnableQueriesError, BundleLockError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+    config = RunConfig(
+        corpus_paths=tuple(args.corpus),
+        query_dir=args.queries,
+        out_dir=args.out,
+        kinds=args.kinds,
+        params=_params_from_args(args),
+        today=args.today,
+    )
+    report = run_all(config)
     print(report.summary())
     if report.networks_produced == 0:
         print("error: no networks were produced", file=sys.stderr)
@@ -175,25 +166,22 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_sql(args: argparse.Namespace) -> int:
+    kind = normalize_kind(args.kind)
     try:
-        kind = normalize_kind(args.kind)
-        try:
-            subquery = Path(args.query_file).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            return _fail(f"{args.query_file}: not UTF-8 text ({exc.reason})")
-        rendered = render_sql(
-            SqlRequest(
-                user_subquery=subquery,
-                kind=kind,
-                params=_params_from_args(args),
-                dataset_prefix=args.dataset_prefix,
-            )
+        subquery = Path(args.query_file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return _fail(f"{args.query_file}: not UTF-8 text ({exc.reason})")
+    rendered = render_sql(
+        SqlRequest(
+            user_subquery=subquery,
+            kind=kind,
+            params=_params_from_args(args),
+            dataset_prefix=args.dataset_prefix,
         )
-        manifest = json.dumps(rendered.named_params, sort_keys=True, indent=2) + "\n"
-        if args.params_out:
-            Path(args.params_out).write_text(manifest, encoding="utf-8")
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    )
+    manifest = json.dumps(rendered.named_params, sort_keys=True, indent=2) + "\n"
+    if args.params_out:
+        Path(args.params_out).write_text(manifest, encoding="utf-8")
     sys.stdout.write(rendered.sql)
     if not args.params_out:
         sys.stderr.write(manifest)
@@ -219,10 +207,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        problems = validate_bundle(args.dir)
-    except OSError as exc:
-        return _fail(str(exc))
+    problems = validate_bundle(args.dir)
     if problems:
         for problem in problems:
             print(f"invalid: {problem}", file=sys.stderr)
@@ -248,7 +233,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; exit code 2 is reserved for
         # "ran but produced zero networks", so remap
         return EXIT_OK if exc.code in (0, None) else EXIT_FATAL
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (CorpusError, BundleLockError, OSError, ValueError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -5,14 +5,17 @@ Field names follow the BigQuery export schema (`id`, `title`, `year`,
 with `{concept, relevance}` pairs for publications; `id`, `name`,
 `country_code` for organisations), so table exports load unmodified.
 
-Two file formats are supported:
+The file suffix alone picks the reader, from one table: ``.jsonl``,
+``.ndjson`` and ``.json`` are read as JSONL, ``.csv`` as CSV. A directory
+is scanned for regular files with one of these suffixes; a file named
+explicitly with any other suffix is fatal before any file is read.
 
 * JSONL: one record per line, UTF-8. Records carrying a ``name`` field are
   organisations; everything else is a publication.
-* CSV: header row required. A header containing ``name`` marks an
-  organisation file. A row whose cell count differs from the header's is
-  skipped. List-valued cells are ``;``-delimited; concept cells encode each
-  mention as ``text:relevance``.
+* CSV: the first non-blank row is the header. A header containing ``name``
+  marks an organisation file. A row whose cell count differs from the
+  header's is skipped. List-valued cells are ``;``-delimited; concept cells
+  encode each mention as ``text:relevance``.
 
 Malformed records are skipped and counted; structural corruption (a
 duplicate id, a CSV header that names a column twice) aborts the ingest.
@@ -30,9 +33,6 @@ from datetime import date
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
-
-# file suffix -> format; directories are scanned for exactly these
-_FORMATS_BY_SUFFIX = {".jsonl": "jsonl", ".ndjson": "jsonl", ".json": "jsonl", ".csv": "csv"}
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
@@ -349,7 +349,7 @@ def _csv_to_record(header: list[str], cells: list[str], is_org_file: bool) -> di
 
 def _iter_csv(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
     rows = csv.reader(_lines(path, newline=""))
-    header = next(rows, [])
+    header = next((cells for cells in rows if cells), [])  # leading blank lines are skipped
     for n, column in enumerate(header):
         if column in header[:n]:
             raise CorpusError(f"{path}: CSV header names column {column!r} twice")
@@ -366,33 +366,28 @@ def _iter_csv(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
         line_no = rows.line_num + 1
 
 
-def _detect_format(path: Path, declared: str | None) -> str:
-    if declared is not None:
-        if declared not in ("jsonl", "csv"):
-            raise ValueError(f"unsupported format {declared!r} (expected 'jsonl' or 'csv')")
-        return declared
-    try:
-        return _FORMATS_BY_SUFFIX[path.suffix.lower()]
-    except KeyError:
-        raise ValueError(f"cannot infer format of {path}: pass format='jsonl' or 'csv'") from None
+# file suffix -> reader; directories are scanned for exactly these suffixes
+_READERS = {".jsonl": _iter_jsonl, ".ndjson": _iter_jsonl, ".json": _iter_jsonl, ".csv": _iter_csv}
+_SUFFIXES = ", ".join(_READERS)
 
 
 def expand_corpus_paths(paths: Iterable[str | Path]) -> list[Path]:
-    """Resolve files and directories (scanned for regular *.jsonl / *.csv
-    files; subdirectories are not entered) to files."""
+    """Resolve files and directories (scanned for regular files with a
+    corpus suffix; subdirectories are not entered) to files. A file named
+    explicitly with another suffix is fatal."""
     out: list[Path] = []
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            found = sorted(
-                q for q in p.iterdir() if q.suffix.lower() in _FORMATS_BY_SUFFIX and q.is_file()
-            )
+            found = sorted(q for q in p.iterdir() if q.suffix.lower() in _READERS and q.is_file())
             if not found:
-                raise FileNotFoundError(f"no .jsonl or .csv files in directory {p}")
+                raise FileNotFoundError(f"no files with a suffix of {_SUFFIXES} in directory {p}")
             out.extend(found)
+        elif not p.exists():
+            raise FileNotFoundError(f"corpus file not found: {p}")
+        elif p.suffix.lower() not in _READERS:
+            raise CorpusError(f"{p}: not a corpus file; its suffix must be one of {_SUFFIXES}")
         else:
-            if not p.exists():
-                raise FileNotFoundError(f"corpus file not found: {p}")
             out.append(p)
     return out
 
@@ -429,16 +424,13 @@ def _assemble(records: Iterable[Publication | Organisation]) -> Corpus:
     )
 
 
-def _parse_files(
-    files: list[Path], format: str | None, report: IngestReport
-) -> Iterator[Publication | Organisation]:
+def _parse_files(files: list[Path], report: IngestReport) -> Iterator[Publication | Organisation]:
     """Valid records of every file in order; malformed rows are skipped and
     counted in ``report``. Repeated values are stored once across all files."""
     shared = _Shared()
     for path in files:
         source = str(path)
-        rows = _iter_jsonl(path) if _detect_format(path, format) == "jsonl" else _iter_csv(path)
-        for line_no, item, is_org in rows:
+        for line_no, item, is_org in _READERS[path.suffix.lower()](path):
             report.rows_total += 1
             try:
                 if isinstance(item, _RecordError):
@@ -450,7 +442,7 @@ def _parse_files(
             yield record
 
 
-def ingest(paths: Iterable[str | Path], format: str | None = None) -> tuple[Corpus, IngestReport]:
+def ingest(paths: Iterable[str | Path]) -> tuple[Corpus, IngestReport]:
     """Ingest exported files into a validated Corpus.
 
     Malformed records are skipped and counted in the report. Duplicate
@@ -465,7 +457,7 @@ def ingest(paths: Iterable[str | Path], format: str | None = None) -> tuple[Corp
     enabled = gc.isenabled()
     gc.disable()
     try:
-        corpus = _assemble(_parse_files(files, format, report))
+        corpus = _assemble(_parse_files(files, report))
     finally:
         if enabled:
             gc.enable()

@@ -29,7 +29,6 @@ class RunConfig:
     kinds: tuple[str, ...] = KINDS
     params: NetworkParams = field(default_factory=NetworkParams)
     today: date | None = None
-    corpus_format: str | None = None
 
     def __post_init__(self) -> None:
         if not self.kinds:
@@ -79,7 +78,7 @@ class RunReport:
 
 def run_all(config: RunConfig) -> RunReport:
     """Run the full pipeline; fatal ingest/folder errors propagate."""
-    corpus, ingest_report = ingest(config.corpus_paths, format=config.corpus_format)
+    corpus, ingest_report = ingest(config.corpus_paths)
     folder = load_query_folder(config.query_dir)
     today = config.today if config.today is not None else date.today()
     stamp = now_stamp()

@@ -325,6 +325,20 @@ def test_csv_skip_reason_names_the_physical_line_of_the_row(tmp_path):
     assert report.skip_reasons == [f"{ml_csv}:6: field 'year' must be an integer, got 'x'"]
 
 
+def test_csv_header_is_the_first_non_blank_row(tmp_path):
+    pubs = write_jsonl(tmp_path / "pubs.jsonl", PUBS)
+    blank_first = tmp_path / "blankfirst.csv"
+    blank_first.write_text("\nid,year\np1,2020\n", encoding="utf-8")
+    corpus, report = ingest([pubs, blank_first])
+    assert corpus.publications["p1"].year == 2020
+    assert (report.rows_total, report.skipped) == (4, 0)
+    # skip reasons still count physical lines, the leading blank ones included
+    two_blank = tmp_path / "twoblank.csv"
+    two_blank.write_text("\n\nid,year\np1,x\n", encoding="utf-8")
+    _, report = ingest([pubs, two_blank])
+    assert report.skip_reasons == [f"{two_blank}:4: field 'year' must be an integer, got 'x'"]
+
+
 def test_csv_header_naming_a_column_twice_is_fatal(tmp_path):
     pubs_csv = tmp_path / "pubs.csv"
     pubs_csv.write_text("id,year,year,research_orgs\np1,2020,2021,grid.1\n", encoding="utf-8")
