@@ -21,7 +21,7 @@ from datetime import date
 from pathlib import Path
 
 from bibnet.corpus import CorpusError, corpus_stats, ingest, parse_date
-from bibnet.network import NetworkParams, normalize_kind
+from bibnet.network import KINDS, NetworkParams, normalize_kind
 from bibnet.pipeline import RunConfig, run_all
 from bibnet.sqlgen import DEFAULT_DATASET_PREFIX, SqlRequest, render_sql
 from bibnet.version import ENGINE_VERSION
@@ -53,7 +53,10 @@ def _parse_kinds(value: str) -> tuple[str, ...]:
         part = part.strip()
         if not part:
             continue
-        kinds.append(normalize_kind(part))
+        try:
+            kinds.append(normalize_kind(part))
+        except ValueError as exc:  # argparse would print only the function's name
+            raise argparse.ArgumentTypeError(str(exc)) from None
     if not kinds:
         raise argparse.ArgumentTypeError("--kinds needs at least one of: org, concept")
     # stable de-dup, preserving first occurrence
@@ -97,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument(
         "--kinds",
         type=_parse_kinds,
-        default=("organisation", "concept"),
+        default=KINDS,
         help="comma list of network kinds (org, concept); default both",
     )
     p_build.add_argument(

@@ -6,7 +6,7 @@ Grammar (keywords are case-insensitive)::
     atom    := field op literal
              | field IN ( literal, ... )
              | last_days(field, N)
-             | ids(string, ...)
+             | ids(string, ...)          # the same as id IN (string, ...)
     op      := == | != | < | <= | > | >=
     literal := "string" | integer | YYYY-MM-DD
 
@@ -22,25 +22,29 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from functools import partial
 from pathlib import Path
 from typing import Callable
 
 from bibnet.corpus import Corpus, Publication, parse_date
 
-# field name -> (value kind, multi-valued?)
-FIELDS: dict[str, tuple[str, bool]] = {
-    "year": ("int", False),
-    "date_inserted": ("date", False),
-    "journal_title": ("str", False),
-    "doc_type": ("str", False),
-    "id": ("str", False),
-    "research_orgs": ("str", True),
-    "concept": ("str", True),
+# field name -> the token kind of its literals
+FIELDS: dict[str, str] = {
+    "year": "int",
+    "date_inserted": "date",
+    "journal_title": "str",
+    "doc_type": "str",
+    "id": "str",
+    "research_orgs": "str",
+    "concept": "str",
 }
 
 QUERY_FILE_SUFFIX = ".nql"
+
+# parentheses and NOTs nested deeper than this are a syntax error, so the
+# recursive-descent parser stays well inside Python's recursion limit
+MAX_NESTING = 100
 
 
 class QueryError(ValueError):
@@ -113,15 +117,9 @@ class DateWindow(Expr):
     days: int
 
 
-@dataclass(frozen=True, slots=True)
-class IdFilter(Expr):
-    ids: tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class SubsetQuery:
     ast: Expr
-    source_text: str
     name: str
 
 
@@ -139,7 +137,7 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#[^\n]*)
   | (?P<date>\d{4}-\d{2}-\d{2})
   | (?P<int>\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')
+  | (?P<str>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')
   | (?P<op>==|!=|<=|>=|<|>)
   | (?P<lparen>\()
   | (?P<rparen>\))
@@ -189,9 +187,15 @@ def _tokenize(text: str) -> list[_Token]:
                 raise QuerySyntaxError(f"invalid date literal {raw!r}", line, column) from None
             tokens.append(_Token("date", raw, value, line, column))
         elif kind == "int":
-            tokens.append(_Token("int", raw, int(raw), line, column))
-        elif kind == "string":
-            tokens.append(_Token("string", raw, _unescape(raw), line, column))
+            try:
+                value = int(raw)
+            except ValueError:  # longer than int() converts
+                raise QuerySyntaxError(
+                    f"integer literal of {len(raw)} digits is too long", line, column
+                ) from None
+            tokens.append(_Token("int", raw, value, line, column))
+        elif kind == "str":
+            tokens.append(_Token("str", raw, _unescape(raw), line, column))
         elif kind == "ident":
             upper = raw.upper()
             if upper in _KEYWORDS:
@@ -218,6 +222,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -234,6 +239,18 @@ class _Parser:
                 f"expected {what}, found {tok.text!r}", tok.line, tok.column
             )
         return self.advance()
+
+    def parse_nested(self, parse: Callable[[], Expr]) -> Expr:
+        """Run ``parse`` one nesting level down."""
+        if self.depth == MAX_NESTING:
+            tok = self.tokens[self.index - 1]  # the '(' or NOT one level too deep
+            raise QuerySyntaxError(
+                f"query nests deeper than {MAX_NESTING} levels", tok.line, tok.column
+            )
+        self.depth += 1
+        expr = parse()
+        self.depth -= 1
+        return expr
 
     def parse(self) -> Expr:
         expr = self.parse_or()
@@ -259,34 +276,40 @@ class _Parser:
     def parse_not(self) -> Expr:
         if self.peek().kind == "NOT":
             self.advance()
-            return NotExpr(self.parse_not())
+            return NotExpr(self.parse_nested(self.parse_not))
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "lparen":
             self.advance()
-            expr = self.parse_or()
+            expr = self.parse_nested(self.parse_or)
             self.expect("rparen", "')'")
             return expr
         if tok.kind == "ident":
             if tok.text == "last_days":
                 return self.parse_last_days()
             if tok.text == "ids":
-                return self.parse_ids()
+                self.advance()
+                self.expect("lparen", "'(' after ids")
+                return Membership("id", self.parse_literal_list("id", "str"))
             return self.parse_field_predicate()
         raise QuerySyntaxError(f"expected a predicate, found {tok.text!r}", tok.line, tok.column)
 
-    def parse_field_predicate(self) -> Expr:
-        field_tok = self.advance()
-        field = field_tok.text
-        if field not in FIELDS:
+    def parse_field(self) -> tuple[_Token, str]:
+        """Consume a field name; return its token and its literal kind."""
+        tok = self.expect("ident", "a field name")
+        if tok.text not in FIELDS:
             raise UnknownFieldError(
-                f"unknown field {field!r} (queryable: {', '.join(sorted(FIELDS))})",
-                field_tok.line,
-                field_tok.column,
+                f"unknown field {tok.text!r} (queryable: {', '.join(sorted(FIELDS))})",
+                tok.line,
+                tok.column,
             )
-        kind, _ = FIELDS[field]
+        return tok, FIELDS[tok.text]
+
+    def parse_field_predicate(self) -> Expr:
+        field_tok, kind = self.parse_field()
+        field = field_tok.text
         tok = self.peek()
         if tok.kind == "IN":
             self.advance()
@@ -305,11 +328,10 @@ class _Parser:
 
     def parse_literal(self, field: str, kind: str):
         tok = self.peek()
-        if tok.kind not in ("string", "int", "date"):
+        if tok.kind not in ("str", "int", "date"):
             raise QuerySyntaxError(f"expected a literal, found {tok.text!r}", tok.line, tok.column)
         self.advance()
-        expected = {"str": "string", "int": "int", "date": "date"}[kind]
-        if tok.kind != expected:
+        if tok.kind != kind:
             raise QueryTypeError(
                 f"field {field!r} expects a {kind} literal, got {tok.text}",
                 tok.line,
@@ -328,13 +350,11 @@ class _Parser:
     def parse_last_days(self) -> Expr:
         self.advance()
         self.expect("lparen", "'(' after last_days")
-        field_tok = self.expect("ident", "a date field name")
+        field_tok, kind = self.parse_field()
         field = field_tok.text
-        if field not in FIELDS:
-            raise UnknownFieldError(f"unknown field {field!r}", field_tok.line, field_tok.column)
-        if FIELDS[field][0] != "date":
+        if kind != "date":
             raise QueryTypeError(
-                f"last_days requires a date field, {field!r} is {FIELDS[field][0]}",
+                f"last_days requires a date field, {field!r} is {kind}",
                 field_tok.line,
                 field_tok.column,
             )
@@ -345,24 +365,13 @@ class _Parser:
         self.expect("rparen", "')'")
         return DateWindow(field, int(days_tok.value))  # type: ignore[arg-type]
 
-    def parse_ids(self) -> Expr:
-        self.advance()
-        self.expect("lparen", "'(' after ids")
-        first = self.expect("string", "a publication id string")
-        values = [str(first.value)]
-        while self.peek().kind == "comma":
-            self.advance()
-            values.append(str(self.expect("string", "a publication id string").value))
-        self.expect("rparen", "')'")
-        return IdFilter(tuple(values))
-
 
 def parse_query(text: str, name: str = "query") -> SubsetQuery:
     """Parse DSL text into a well-typed AST; raises QueryError on failure."""
     if not text.strip():
         raise QuerySyntaxError("empty query", 1, 1)
     ast = _Parser(_tokenize(text)).parse()
-    return SubsetQuery(ast=ast, source_text=text, name=name)
+    return SubsetQuery(ast=ast, name=name)
 
 
 # --- Printing ----------------------------------------------------------------
@@ -393,8 +402,6 @@ def print_query(expr: Expr) -> str:
         return f"{expr.field} IN ({', '.join(_format_literal(v) for v in expr.values)})"
     if isinstance(expr, DateWindow):
         return f"last_days({expr.field}, {expr.days})"
-    if isinstance(expr, IdFilter):
-        return f"ids({', '.join(_format_literal(v) for v in expr.ids)})"
     raise TypeError(f"not a query expression: {expr!r}")
 
 
@@ -441,10 +448,9 @@ _concept_text = operator.attrgetter("concept")
 def _leaf(field: str, test: Callable[[object], bool]) -> _Predicate:
     """Apply ``test`` to a field: a multi-valued field matches if any element
     does, and a missing scalar field fails the leaf."""
-    _, multi = FIELDS[field]
-    if multi:
-        if field == "research_orgs":
-            return lambda pub: any(map(test, pub.research_orgs))
+    if field == "research_orgs":
+        return lambda pub: any(map(test, pub.research_orgs))
+    if field == "concept":
         return lambda pub: any(map(test, map(_concept_text, pub.concepts)))
     get = operator.attrgetter(field)
 
@@ -472,10 +478,9 @@ def _compile(expr: Expr, today: date) -> _Predicate:
     if isinstance(expr, Membership):
         return _leaf(expr.field, frozenset(expr.values).__contains__)
     if isinstance(expr, DateWindow):
-        cutoff = today - timedelta(days=expr.days)
+        # today - days, clamped at date.min (ordinal 1)
+        cutoff = date.fromordinal(max(1, today.toordinal() - expr.days))
         return _leaf(expr.field, partial(operator.le, cutoff))  # value >= cutoff
-    if isinstance(expr, IdFilter):
-        return _leaf("id", frozenset(expr.ids).__contains__)
     raise TypeError(f"not a query expression: {expr!r}")
 
 

@@ -22,7 +22,6 @@ import html
 import json
 import os
 import re
-import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
@@ -245,14 +244,18 @@ class BundleManifest:
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # a new file made with mode 0666 takes the umask's mode, as open()'s
+    # files do; one already under this name was left by a crashed run that
+    # had this process id
+    tmp_name = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp_name.unlink(missing_ok=True)
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp_name, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp_name.unlink(missing_ok=True)
         raise
 
 

@@ -12,7 +12,6 @@ from bibnet.query import (
     Comparison,
     DateWindow,
     Expr,
-    IdFilter,
     Membership,
     NotExpr,
     OrExpr,
@@ -127,7 +126,7 @@ def random_expr(rng: random.Random, depth: int = 3) -> Expr:
             return Membership(field, values)
         if leaf == 3:
             return DateWindow("date_inserted", rng.randint(1, 90))
-        return IdFilter(tuple(f"pub.{rng.randrange(40)}" for _ in range(rng.randint(1, 4))))
+        return Membership("id", tuple(f"pub.{rng.randrange(40)}" for _ in range(rng.randint(1, 4))))
     node = rng.randrange(3)
     if node == 0:
         return OrExpr(random_expr(rng, depth - 1), random_expr(rng, depth - 1))

@@ -18,7 +18,6 @@ from bibnet.query import (
     Comparison,
     DateWindow,
     Expr,
-    IdFilter,
     Membership,
     NotExpr,
     OrExpr,
@@ -65,10 +64,9 @@ def matches(expr: Expr, pub: Publication, today: date) -> bool:
     if isinstance(expr, Membership):
         return any(value in expr.values for value in field_values(pub, expr.field))
     if isinstance(expr, DateWindow):
-        cutoff = today - timedelta(days=expr.days)
+        # the window stops at the first representable date
+        cutoff = today - timedelta(days=min(expr.days, (today - date.min).days))
         return any(value >= cutoff for value in field_values(pub, expr.field))
-    if isinstance(expr, IdFilter):
-        return pub.id in expr.ids
     raise TypeError(f"not a query expression: {expr!r}")
 
 

@@ -205,14 +205,14 @@ def test_dsl_laws_and_thirty_day_sample():
         # print/parse round-trip
         assert parse_query(print_query(a)).ast == a, f"trial {trial}"
         # De Morgan
-        lhs = SubsetQuery(NotExpr(OrExpr(a, b)), "", "lhs")
-        rhs = SubsetQuery(AndExpr(NotExpr(a), NotExpr(b)), "", "rhs")
+        lhs = SubsetQuery(NotExpr(OrExpr(a, b)), "lhs")
+        rhs = SubsetQuery(AndExpr(NotExpr(a), NotExpr(b)), "rhs")
         assert (
             eval_query(lhs, corpus, today).ids == eval_query(rhs, corpus, today).ids
         ), f"trial {trial}"
         # conjunction narrows
-        narrowed = eval_query(SubsetQuery(AndExpr(a, b), "", "and"), corpus, today).ids
-        assert narrowed <= eval_query(SubsetQuery(a, "", "a"), corpus, today).ids, f"trial {trial}"
+        narrowed = eval_query(SubsetQuery(AndExpr(a, b), "and"), corpus, today).ids
+        assert narrowed <= eval_query(SubsetQuery(a, "a"), corpus, today).ids, f"trial {trial}"
 
 
 @criterion(6, "export validity, round-trip, and rerun stability")

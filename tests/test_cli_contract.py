@@ -45,7 +45,13 @@ def _inputs(tmp_path) -> SimpleNamespace:
     p.sql = tmp_path / "subset.sql"
     p.sql.write_text("select id from somewhere\n", encoding="utf-8")
     # query folders: all good, and one bad file beside a good one
-    for folder, bad in (("queries", None), ("queries-empty", b""), ("queries-latin", LATIN_1)):
+    for folder, bad in (
+        ("queries", None),
+        ("queries-empty", b""),
+        ("queries-latin", LATIN_1),
+        ("queries-deep", b"(" * 300 + b"year == 1" + b")" * 300),
+        ("queries-long-int", b"year == " + b"9" * 5000),
+    ):
         (tmp_path / folder).mkdir()
         (tmp_path / folder / "all.nql").write_text("year >= 2000\n", encoding="utf-8")
         if bad is not None:
@@ -93,6 +99,9 @@ CASES = [
     ("build", "empty .nql file", lambda p: _build(p, queries="queries-empty"), SKIP),
     ("build", "non-UTF-8 bytes", lambda p: _build(p, corpus=[p.root / "latin.jsonl"]), ERROR),
     ("build", "non-UTF-8 .nql file", lambda p: _build(p, queries="queries-latin"), SKIP),
+    ("build", "deeply nested .nql file", lambda p: _build(p, queries="queries-deep"), SKIP),
+    ("build", "over-long integer in a .nql file",
+     lambda p: _build(p, queries="queries-long-int"), SKIP),
     ("build", "locked bundle", lambda p: _build(p, out=p.root / "locked"), ERROR),
     ("build", "unsupported suffix",
      lambda p: _build(p, corpus=[p.root / "latin.jsonl", p.notes]), ERROR),

@@ -266,6 +266,34 @@ def test_cli_kinds_flag(tmp_path):
     assert files == ["all__org.json", "recent__org.json"]
 
 
+def test_cli_unknown_kind_names_the_kind(tmp_path, capsys):
+    qdir = write_queries(tmp_path)
+    code = main(["build", "--corpus", str(write_corpus(tmp_path)), "--queries", str(qdir),
+                 "--out", str(tmp_path / "out"), "--kinds", "org,foo"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "bibnet build: error: argument --kinds: "
+        "unknown network kind 'foo' (expected 'org' or 'concept')"
+    )
+
+
+def test_bundle_files_take_their_mode_from_the_umask(fixtures_dir, tmp_path):
+    out = tmp_path / "out"
+    old_umask = os.umask(0o022)
+    try:
+        code = main(["build", "--corpus", str(fixtures_dir / "corpus"),
+                     "--queries", str(fixtures_dir / "queries"), "--out", str(out),
+                     "--today", "2022-07-01"])
+    finally:
+        os.umask(old_umask)
+    assert code == 0
+    modes = {str(p.relative_to(out)): oct(p.stat().st_mode & 0o777)
+             for p in out.rglob("*") if p.is_file()}
+    assert "run_report.json" in modes and "networks/recent__org.json" in modes
+    assert set(modes.values()) == {"0o644"}, modes
+
+
 def test_cli_ingest_reports(tmp_path, capsys):
     corpus = write_corpus(tmp_path)
     report_path = tmp_path / "ingest.json"

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibnet.cli import main
-from bibnet.corpus import Publication, build_corpus
+from bibnet.corpus import Publication, build_corpus, ingest
 from bibnet.query import (
+    MAX_NESTING,
     AndExpr,
     Comparison,
     DateWindow,
     Expr,
-    IdFilter,
     Membership,
     NoRunnableQueriesError,
     NotExpr,
@@ -51,7 +51,7 @@ def corpus_with_dates(dates: dict[str, str | None]):
 
 
 def as_query(expr, name="q") -> SubsetQuery:
-    return SubsetQuery(ast=expr, source_text=print_query(expr), name=name)
+    return SubsetQuery(ast=expr, name=name)
 
 
 # --- parsing -----------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_in_list_and_ids():
     query = parse_query('journal_title IN ("Nature", "Science")')
     assert query.ast.values == ("Nature", "Science")
     query = parse_query('ids("p1", "p2")')
-    assert query.ast == IdFilter(("p1", "p2"))
+    assert query.ast == Membership("id", ("p1", "p2"))
 
 
 def test_date_literals_parse():
@@ -110,6 +110,23 @@ def test_date_literals_parse():
     assert query.ast == Comparison("date_inserted", ">=", date(2022, 1, 31))
     with pytest.raises(QuerySyntaxError):
         parse_query("date_inserted >= 2022-13-45")
+
+
+def test_nesting_past_the_limit_is_a_syntax_error():
+    deepest = "(" * MAX_NESTING + "year == 1" + ")" * MAX_NESTING
+    assert parse_query(deepest).ast == Comparison("year", "==", 1)
+    assert isinstance(parse_query("NOT " * MAX_NESTING + "year == 1").ast, NotExpr)
+    with pytest.raises(QuerySyntaxError, match="nests deeper") as exc_info:
+        parse_query("(" * 300 + "year == 1" + ")" * 300)
+    assert (exc_info.value.line, exc_info.value.column) == (1, MAX_NESTING + 1)
+    with pytest.raises(QuerySyntaxError, match="nests deeper"):
+        parse_query("NOT " * (MAX_NESTING + 1) + "year == 1")
+
+
+def test_overlong_integer_literal_is_a_syntax_error():
+    with pytest.raises(QuerySyntaxError, match="5000 digits") as exc_info:
+        parse_query("year == " + "9" * 5000)
+    assert (exc_info.value.line, exc_info.value.column) == (1, 9)
 
 
 def test_last_days_rejects_non_date_fields():
@@ -127,6 +144,15 @@ def test_date_window_inclusive_lower_bound():
     )
     result = eval_query(parse_query("last_days(date_inserted, 30)"), corpus, TODAY)
     assert result.ids == {"in", "edge"}
+
+
+@pytest.mark.parametrize("days", [1_000_000, 10**12])
+def test_last_days_window_before_year_one_selects_every_dated_publication(fixtures_dir, days):
+    corpus, _ = ingest([fixtures_dir / "corpus"])
+    dated = {pid for pid, pub in corpus.publications.items() if pub.date_inserted is not None}
+    assert dated
+    query = parse_query(f"last_days(date_inserted, {days})")
+    assert eval_query(query, corpus, TODAY).ids == dated
 
 
 def test_ids_literal_intersects_corpus():
@@ -193,8 +219,8 @@ def test_long_value_lists_cost_no_more_per_record_than_short_ones():
             Membership("research_orgs", tuple(f"grid.{v}" for v in range(0, 10, 2))),
         ),
         (
-            IdFilter(tuple(f"pub.{i}" for i in range(0, n_pubs, 10))),
-            IdFilter(tuple(f"pub.{i}" for i in range(0, 50, 10))),
+            Membership("id", tuple(f"pub.{i}" for i in range(0, n_pubs, 10))),
+            Membership("id", tuple(f"pub.{i}" for i in range(0, 50, 10))),
         ),
     ]
     for long_expr, short_expr in cases:
@@ -202,7 +228,7 @@ def test_long_value_lists_cost_no_more_per_record_than_short_ones():
         long = _best_time(long_expr, corpus)
         # scanning the list once per record would make the 5,000-value
         # lists cost hundreds of times the 5-value ones
-        assert long < 5 * short + 0.05, (type(long_expr).__name__, long, short)
+        assert long < 5 * short + 0.05, (long_expr.field, long, short)
 
 
 # --- query folders -----------------------------------------------------------

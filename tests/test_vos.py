@@ -374,6 +374,22 @@ def test_overwrite_is_atomic_replacement(abc_corpus, tmp_path):
     assert leftovers == []
 
 
+def test_a_stale_temp_file_neither_fails_the_write_nor_passes_on_its_mode(abc_corpus, tmp_path):
+    # a crashed run whose process id this one now has left its temp file
+    stale = tmp_path / f".manifest.json.{os.getpid()}.tmp"
+    stale.write_text("partial", encoding="utf-8")
+    stale.chmod(0o600)
+    old_umask = os.umask(0o022)
+    try:
+        write_bundle([to_vos_json(abc_network(abc_corpus), generated_at=STAMP)], tmp_path,
+                     generated_at=STAMP)
+    finally:
+        os.umask(old_umask)
+    assert not stale.exists()
+    assert (tmp_path / "manifest.json").stat().st_mode & 0o777 == 0o644
+    assert json.loads((tmp_path / "manifest.json").read_text("utf-8"))["networks"]
+
+
 def test_concurrent_writer_lock(abc_corpus, tmp_path):
     (tmp_path / LOCK_FILE).write_text("12345", encoding="utf-8")
     docs = [to_vos_json(abc_network(abc_corpus), generated_at=STAMP)]
