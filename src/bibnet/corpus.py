@@ -35,6 +35,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# int() alone would also take '+2021', '2_021' and non-ASCII digits
+_CSV_YEAR = re.compile(r"\s*-?[0-9]+\s*")
 
 # Reasons kept verbatim in the ingest report are capped so a fully broken
 # file cannot balloon the report.
@@ -293,8 +295,9 @@ def parse_organisation(record: dict, shared: _Shared | None = None) -> Organisat
 
 
 def _lines(path: Path, newline: str | None = None) -> Iterator[str]:
-    """The lines of a UTF-8 text file; any other encoding is fatal and named."""
-    with path.open("r", encoding="utf-8", newline=newline) as fh:
+    """The lines of a UTF-8 text file, less a leading byte-order mark; any
+    other encoding is fatal and named."""
+    with path.open("r", encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
@@ -327,10 +330,13 @@ def _csv_to_record(header: list[str], cells: list[str], is_org_file: bool) -> di
     if is_org_file:
         return record
     if "year" in record:
+        cell = record["year"]
         try:
-            record["year"] = int(record["year"])
-        except ValueError:
-            raise _RecordError(f"field 'year' must be an integer, got {record['year']!r}")
+            if not _CSV_YEAR.fullmatch(cell):
+                raise ValueError(cell)
+            record["year"] = int(cell)
+        except ValueError:  # also a cell longer than int() converts
+            raise _RecordError(f"field 'year' must be an integer, got {cell!r}")
     if "research_orgs" in record:
         record["research_orgs"] = _split_list_cell(record["research_orgs"])
     if "concepts" in record:

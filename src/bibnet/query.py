@@ -10,11 +10,17 @@ Grammar (keywords are case-insensitive)::
     op      := == | != | < | <= | > | >=
     literal := "string" | integer | YYYY-MM-DD
 
-Queryable fields: ``year`` (int), ``date_inserted`` (date),
-``journal_title``, ``doc_type``, ``id`` (strings), ``research_orgs`` and
-``concept`` (string-valued, matched against any element/mention).
-``#`` starts a line comment. A publication missing a referenced optional
-field fails that predicate leaf.
+Integer and date literals are written in ASCII digits. Queryable fields:
+``year`` (int), ``date_inserted`` (date), ``journal_title``, ``doc_type``,
+``id`` (strings), ``research_orgs`` and ``concept`` (string-valued, matched
+against any element/mention). ``#`` starts a line comment, and a leading
+byte-order mark in a ``.nql`` file is ignored. A publication missing a
+referenced optional field fails that predicate leaf.
+
+A chain of one operator, ``a OR b OR c``, is one :class:`BoolExpr` of any
+length; only parentheses and ``NOT`` nest, at most ``MAX_NESTING`` levels.
+The canonical printer writes a chain flat and keeps the parentheses of a
+grouped chain, so ``(a OR b) OR c`` prints as it reads.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ FIELDS: dict[str, str] = {
 QUERY_FILE_SUFFIX = ".nql"
 
 # parentheses and NOTs nested deeper than this are a syntax error, so the
-# recursive-descent parser stays well inside Python's recursion limit
+# recursive-descent parser, the compiler and the printer, which recurse by
+# nesting depth and never by chain length, stay well inside Python's
+# recursion limit
 MAX_NESTING = 100
 
 
@@ -80,15 +88,11 @@ class Expr:
 
 
 @dataclass(frozen=True, slots=True)
-class OrExpr(Expr):
-    left: Expr
-    right: Expr
+class BoolExpr(Expr):
+    """Two or more ``terms`` joined by one operator, ``"OR"`` or ``"AND"``."""
 
-
-@dataclass(frozen=True, slots=True)
-class AndExpr(Expr):
-    left: Expr
-    right: Expr
+    op: str
+    terms: tuple[Expr, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,8 +139,8 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t\r\n]+)
   | (?P<comment>\#[^\n]*)
-  | (?P<date>\d{4}-\d{2}-\d{2})
-  | (?P<int>\d+)
+  | (?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2})
+  | (?P<int>[0-9]+)
   | (?P<str>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')
   | (?P<op>==|!=|<=|>=|<|>)
   | (?P<lparen>\()
@@ -216,6 +220,10 @@ def _tokenize(text: str) -> list[_Token]:
 # --- Parser ------------------------------------------------------------------
 
 
+# the binary operators, loosest first; each chain of one operator is one node
+_BOOL_OPS = ("OR", "AND")
+
+
 class _Parser:
     """Recursive descent; precedence OR < AND < NOT < atom."""
 
@@ -253,25 +261,22 @@ class _Parser:
         return expr
 
     def parse(self) -> Expr:
-        expr = self.parse_or()
+        expr = self.parse_chain(0)
         tok = self.peek()
         if tok.kind != "eof":
             raise QuerySyntaxError(f"unexpected trailing token {tok.text!r}", tok.line, tok.column)
         return expr
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.peek().kind == "OR":
+    def parse_chain(self, level: int) -> Expr:
+        """Terms joined by ``_BOOL_OPS[level]``; each term binds more tightly."""
+        if level == len(_BOOL_OPS):
+            return self.parse_not()
+        op = _BOOL_OPS[level]
+        terms = [self.parse_chain(level + 1)]
+        while self.peek().kind == op:
             self.advance()
-            left = OrExpr(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
-        while self.peek().kind == "AND":
-            self.advance()
-            left = AndExpr(left, self.parse_not())
-        return left
+            terms.append(self.parse_chain(level + 1))
+        return terms[0] if len(terms) == 1 else BoolExpr(op, tuple(terms))
 
     def parse_not(self) -> Expr:
         if self.peek().kind == "NOT":
@@ -283,7 +288,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "lparen":
             self.advance()
-            expr = self.parse_nested(self.parse_or)
+            expr = self.parse_nested(partial(self.parse_chain, 0))
             self.expect("rparen", "')'")
             return expr
         if tok.kind == "ident":
@@ -390,12 +395,11 @@ def _format_literal(value) -> str:
 
 def print_query(expr: Expr) -> str:
     """Canonical text form; `parse_query(print_query(ast))` round-trips."""
-    if isinstance(expr, OrExpr):
-        return f"{_child(expr.left, 0, right=False)} OR {_child(expr.right, 0, right=True)}"
-    if isinstance(expr, AndExpr):
-        return f"{_child(expr.left, 1, right=False)} AND {_child(expr.right, 1, right=True)}"
+    if isinstance(expr, BoolExpr):
+        level = _BOOL_OPS.index(expr.op)
+        return f" {expr.op} ".join(_child(term, level) for term in expr.terms)
     if isinstance(expr, NotExpr):
-        return f"NOT {_child(expr.operand, 2, right=True)}"
+        return f"NOT {_child(expr.operand, len(_BOOL_OPS))}"
     if isinstance(expr, Comparison):
         return f"{expr.field} {expr.op} {_format_literal(expr.value)}"
     if isinstance(expr, Membership):
@@ -405,23 +409,11 @@ def print_query(expr: Expr) -> str:
     raise TypeError(f"not a query expression: {expr!r}")
 
 
-def _precedence(expr: Expr) -> int:
-    if isinstance(expr, OrExpr):
-        return 0
-    if isinstance(expr, AndExpr):
-        return 1
-    if isinstance(expr, NotExpr):
-        return 2
-    return 3
-
-
-def _child(expr: Expr, parent_level: int, right: bool) -> str:
+def _child(expr: Expr, parent_level: int) -> str:
     text = print_query(expr)
-    level = _precedence(expr)
-    # parenthesize when the child binds less tightly than its context; the
-    # binary operators are left-associative, so equal-level right children
-    # also need grouping to preserve the tree shape
-    if level < parent_level or (right and level == parent_level and level < 3):
+    # a chain at its parent's level is a grouped term, so `(a OR b) OR c`
+    # keeps its parentheses; NOT and leaves bind tightly enough to need none
+    if isinstance(expr, BoolExpr) and _BOOL_OPS.index(expr.op) <= parent_level:
         return f"({text})"
     return text
 
@@ -464,12 +456,22 @@ def _leaf(field: str, test: Callable[[object], bool]) -> _Predicate:
 def _compile(expr: Expr, today: date) -> _Predicate:
     """Compile an AST into a predicate over one publication, computing every
     per-query constant (value sets, date cutoffs) once."""
-    if isinstance(expr, OrExpr):
-        left, right = _compile(expr.left, today), _compile(expr.right, today)
-        return lambda pub: left(pub) or right(pub)
-    if isinstance(expr, AndExpr):
-        left, right = _compile(expr.left, today), _compile(expr.right, today)
-        return lambda pub: left(pub) and right(pub)
+    if isinstance(expr, BoolExpr):
+        # plain loops: any()/all() over a generator cost twice as much here
+        terms = tuple(_compile(term, today) for term in expr.terms)
+        if expr.op == "OR":
+            def chain(pub: Publication) -> bool:
+                for term in terms:
+                    if term(pub):
+                        return True
+                return False
+        else:
+            def chain(pub: Publication) -> bool:
+                for term in terms:
+                    if not term(pub):
+                        return False
+                return True
+        return chain
     if isinstance(expr, NotExpr):
         operand = _compile(expr.operand, today)
         return lambda pub: not operand(pub)
@@ -519,7 +521,7 @@ def load_query_folder(directory: str | Path) -> QueryFolder:
     failures: list[QueryLoadFailure] = []
     for path in sorted(folder.glob(f"*{QUERY_FILE_SUFFIX}")):
         try:
-            queries.append(parse_query(path.read_text(encoding="utf-8"), name=path.stem))
+            queries.append(parse_query(path.read_text(encoding="utf-8-sig"), name=path.stem))
         except (QueryError, UnicodeDecodeError) as exc:
             failures.append(QueryLoadFailure(name=path.stem, error=str(exc)))
     if not queries:

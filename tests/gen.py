@@ -8,13 +8,12 @@ from datetime import date, timedelta
 from bibnet.corpus import ConceptMention, Corpus, Organisation, Publication, build_corpus
 from bibnet.network import NetworkParams
 from bibnet.query import (
-    AndExpr,
+    BoolExpr,
     Comparison,
     DateWindow,
     Expr,
     Membership,
     NotExpr,
-    OrExpr,
     SubsetResult,
 )
 
@@ -128,8 +127,8 @@ def random_expr(rng: random.Random, depth: int = 3) -> Expr:
             return DateWindow("date_inserted", rng.randint(1, 90))
         return Membership("id", tuple(f"pub.{rng.randrange(40)}" for _ in range(rng.randint(1, 4))))
     node = rng.randrange(3)
-    if node == 0:
-        return OrExpr(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
-    if node == 1:
-        return AndExpr(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
-    return NotExpr(random_expr(rng, depth - 1))
+    if node == 2:
+        return NotExpr(random_expr(rng, depth - 1))
+    # chains of 2-4 terms; a term may itself be a chain of the same operator
+    terms = tuple(random_expr(rng, depth - 1) for _ in range(rng.randint(2, 4)))
+    return BoolExpr(("OR", "AND")[node], terms)

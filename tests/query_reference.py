@@ -13,15 +13,7 @@ from __future__ import annotations
 from datetime import date, timedelta
 
 from bibnet.corpus import Corpus, Publication
-from bibnet.query import (
-    AndExpr,
-    Comparison,
-    DateWindow,
-    Expr,
-    Membership,
-    NotExpr,
-    OrExpr,
-)
+from bibnet.query import BoolExpr, Comparison, DateWindow, Expr, Membership, NotExpr
 
 _OPS = {
     "==": lambda a, b: a == b,
@@ -52,10 +44,9 @@ def field_values(pub: Publication, field: str) -> list:
 
 
 def matches(expr: Expr, pub: Publication, today: date) -> bool:
-    if isinstance(expr, OrExpr):
-        return matches(expr.left, pub, today) or matches(expr.right, pub, today)
-    if isinstance(expr, AndExpr):
-        return matches(expr.left, pub, today) and matches(expr.right, pub, today)
+    if isinstance(expr, BoolExpr):
+        combine = {"OR": any, "AND": all}[expr.op]
+        return combine(matches(term, pub, today) for term in expr.terms)
     if isinstance(expr, NotExpr):
         return not matches(expr.operand, pub, today)
     if isinstance(expr, Comparison):

@@ -23,7 +23,7 @@ from bibnet.cli import main
 from bibnet.corpus import Organisation, Publication, build_corpus
 from bibnet.network import CONCEPT, KINDS, ORGANISATION, NetworkParams, build_network
 from bibnet.pipeline import RunConfig, run_all
-from bibnet.query import AndExpr, NotExpr, OrExpr, SubsetQuery, eval_query, parse_query, print_query
+from bibnet.query import BoolExpr, NotExpr, SubsetQuery, eval_query, parse_query, print_query
 from bibnet.server import make_server
 from bibnet.sqlgen import SUBQUERY_PLACEHOLDER, SqlRequest, render_sql
 from bibnet.vos import validate_bundle, validate_document_dict
@@ -205,13 +205,13 @@ def test_dsl_laws_and_thirty_day_sample():
         # print/parse round-trip
         assert parse_query(print_query(a)).ast == a, f"trial {trial}"
         # De Morgan
-        lhs = SubsetQuery(NotExpr(OrExpr(a, b)), "lhs")
-        rhs = SubsetQuery(AndExpr(NotExpr(a), NotExpr(b)), "rhs")
+        lhs = SubsetQuery(NotExpr(BoolExpr("OR", (a, b))), "lhs")
+        rhs = SubsetQuery(BoolExpr("AND", (NotExpr(a), NotExpr(b))), "rhs")
         assert (
             eval_query(lhs, corpus, today).ids == eval_query(rhs, corpus, today).ids
         ), f"trial {trial}"
         # conjunction narrows
-        narrowed = eval_query(SubsetQuery(AndExpr(a, b), "and"), corpus, today).ids
+        narrowed = eval_query(SubsetQuery(BoolExpr("AND", (a, b)), "and"), corpus, today).ids
         assert narrowed <= eval_query(SubsetQuery(a, "a"), corpus, today).ids, f"trial {trial}"
 
 

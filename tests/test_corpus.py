@@ -339,6 +339,26 @@ def test_csv_header_is_the_first_non_blank_row(tmp_path):
     assert report.skip_reasons == [f"{two_blank}:4: field 'year' must be an integer, got 'x'"]
 
 
+@pytest.mark.parametrize("cell", ["2_021", "+2021", "\u0662\u0660\u0662\u0661"])
+def test_csv_year_must_be_ascii_digits(tmp_path, cell):
+    pubs_csv = tmp_path / "pubs.csv"
+    pubs_csv.write_text(f"id,year\np1, 2021 \np2,-5\np3,{cell}\n", encoding="utf-8")
+    corpus, report = ingest([pubs_csv])
+    assert {pid: pub.year for pid, pub in corpus.publications.items()} == {"p1": 2021, "p2": -5}
+    assert report.skip_reasons == [f"{pubs_csv}:4: field 'year' must be an integer, got {cell!r}"]
+
+
+def test_leading_byte_order_mark_is_ignored(tmp_path):
+    jsonl = write_jsonl(tmp_path / "pubs.jsonl", PUBS)
+    jsonl.write_text("\ufeff" + jsonl.read_text("utf-8"), encoding="utf-8")
+    pubs_csv = tmp_path / "more.csv"
+    pubs_csv.write_text("\ufeffid,year\np1,2020\n", encoding="utf-8")
+    corpus, report = ingest([jsonl, pubs_csv])
+    assert report.skipped == 0
+    assert sorted(corpus.publications) == ["p1", "pub.1", "pub.2", "pub.3"]
+    assert corpus.publications["p1"].year == 2020
+
+
 def test_csv_header_naming_a_column_twice_is_fatal(tmp_path):
     pubs_csv = tmp_path / "pubs.csv"
     pubs_csv.write_text("id,year,year,research_orgs\np1,2020,2021,grid.1\n", encoding="utf-8")

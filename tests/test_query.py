@@ -14,14 +14,13 @@ from bibnet.cli import main
 from bibnet.corpus import Publication, build_corpus, ingest
 from bibnet.query import (
     MAX_NESTING,
-    AndExpr,
+    BoolExpr,
     Comparison,
     DateWindow,
     Expr,
     Membership,
     NoRunnableQueriesError,
     NotExpr,
-    OrExpr,
     QuerySyntaxError,
     QueryTypeError,
     SubsetQuery,
@@ -64,9 +63,9 @@ def test_parse_last_days_window():
 
 def test_parse_conjunction_of_comparisons():
     query = parse_query('year >= 2021 AND journal_title == "Nature"')
-    assert query.ast == AndExpr(
-        Comparison("year", ">=", 2021),
-        Comparison("journal_title", "==", "Nature"),
+    assert query.ast == BoolExpr(
+        "AND",
+        (Comparison("year", ">=", 2021), Comparison("journal_title", "==", "Nature")),
     )
 
 
@@ -94,8 +93,8 @@ def test_comments_and_newlines_are_ignored():
 
 def test_precedence_and_binds_tighter_than_or():
     query = parse_query("year == 2020 OR year == 2021 AND doc_type == \"article\"")
-    assert isinstance(query.ast, OrExpr)
-    assert isinstance(query.ast.right, AndExpr)
+    assert query.ast.op == "OR"
+    assert query.ast.terms[1].op == "AND"
 
 
 def test_in_list_and_ids():
@@ -127,6 +126,32 @@ def test_overlong_integer_literal_is_a_syntax_error():
     with pytest.raises(QuerySyntaxError, match="5000 digits") as exc_info:
         parse_query("year == " + "9" * 5000)
     assert (exc_info.value.line, exc_info.value.column) == (1, 9)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("year == \u0662\u0660\u0662\u0661", 9), ("last_days(date_inserted, \u0663\u0660)", 26)],
+)
+def test_non_ascii_digits_are_a_syntax_error(text, column):
+    with pytest.raises(QuerySyntaxError, match="unexpected character") as exc_info:
+        parse_query(text)
+    assert (exc_info.value.line, exc_info.value.column) == (1, column)
+
+
+def test_a_chain_of_one_operator_is_one_node_printed_flat():
+    a, b, c = (Comparison("year", "==", y) for y in (2019, 2020, 2021))
+    flat = parse_query("year == 2019 OR year == 2020 OR year == 2021").ast
+    assert flat == BoolExpr("OR", (a, b, c))
+    assert print_query(flat) == "year == 2019 OR year == 2020 OR year == 2021"
+    # a grouped chain keeps its parentheses, whichever side it is on
+    for text in ("(year == 2019 OR year == 2020) OR year == 2021",
+                 "year == 2019 AND (year == 2020 AND year == 2021)"):
+        assert print_query(parse_query(text).ast) == text
+
+
+def test_print_query_round_trips_a_100000_term_chain():
+    chain = BoolExpr("OR", tuple(Comparison("year", "==", y) for y in range(100_000)))
+    assert parse_query(print_query(chain)).ast == chain
 
 
 def test_last_days_rejects_non_date_fields():
@@ -263,6 +288,41 @@ def test_build_skips_a_query_file_that_is_not_utf8(fixtures_dir, tmp_path):
     assert report["processed"] == 3
 
 
+# one operator each, 3000 terms: far past Python's recursion limit
+LONG_CHAINS = {
+    "even_years": " OR ".join(f"year == {y}" for y in range(0, 6000, 2)),
+    "only_2021": " AND ".join(f"year != {y}" for y in range(3001) if y != 2021),
+}
+
+
+def test_build_runs_3000_term_chains_beside_a_good_query(fixtures_dir, tmp_path):
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    shutil.copy(fixtures_dir / "queries" / "recent.nql", queries)
+    for name, text in LONG_CHAINS.items():
+        (queries / f"{name}.nql").write_text(text + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["--queries", str(queries), "--out", str(out), "--today", TODAY.isoformat()]
+    assert main(["build", "--corpus", str(fixtures_dir / "corpus"), *args]) == 0
+    report = json.loads((out / "run_report.json").read_text("utf-8"))
+    assert report["skipped"] == []
+    sizes = {network["query"]: network["subset_size"] for network in report["networks"]}
+    corpus, _ = ingest([fixtures_dir / "corpus"])
+    for name, text in LONG_CHAINS.items():
+        query = parse_query(text, name=name)
+        assert len(query.ast.terms) == 3000
+        expected = reference_ids(query.ast, corpus, TODAY)
+        assert expected and sizes[name] == len(expected)
+        assert eval_query(query, corpus, TODAY).ids == expected
+
+
+def test_folder_ignores_a_leading_byte_order_mark(tmp_path):
+    (tmp_path / "bom.nql").write_text("\ufeffyear >= 2021\n", encoding="utf-8")
+    folder = load_query_folder(tmp_path)
+    assert folder.failures == []
+    assert folder.queries[0].ast == Comparison("year", ">=", 2021)
+
+
 def test_empty_folder_is_fatal(tmp_path):
     with pytest.raises(NoRunnableQueriesError):
         load_query_folder(tmp_path)
@@ -297,8 +357,8 @@ def test_de_morgan_equivalence(seed):
     corpus = random_corpus(rng, max_pubs=25)
     a = random_expr(rng, 2)
     b = random_expr(rng, 2)
-    lhs = as_query(NotExpr(OrExpr(a, b)))
-    rhs = as_query(AndExpr(NotExpr(a), NotExpr(b)))
+    lhs = as_query(NotExpr(BoolExpr("OR", (a, b))))
+    rhs = as_query(BoolExpr("AND", (NotExpr(a), NotExpr(b))))
     assert eval_query(lhs, corpus, TODAY).ids == eval_query(rhs, corpus, TODAY).ids
 
 
@@ -309,7 +369,7 @@ def test_conjunction_is_monotone(seed):
     corpus = random_corpus(rng, max_pubs=25)
     q = random_expr(rng, 2)
     r = random_expr(rng, 2)
-    narrowed = eval_query(as_query(AndExpr(q, r)), corpus, TODAY).ids
+    narrowed = eval_query(as_query(BoolExpr("AND", (q, r))), corpus, TODAY).ids
     assert narrowed <= eval_query(as_query(q), corpus, TODAY).ids
 
 
