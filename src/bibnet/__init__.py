@@ -11,7 +11,6 @@ differs as :mod:`bibnet.network` states.
 from bibnet.version import ENGINE_VERSION as __version__
 
 from bibnet.corpus import (
-    ConceptMention,
     Corpus,
     DuplicateIdError,
     EmptyCorpusError,
@@ -55,7 +54,6 @@ from bibnet.vos import (
 
 __all__ = [
     "__version__",
-    "ConceptMention",
     "Corpus",
     "DuplicateIdError",
     "EmptyCorpusError",

@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 from datetime import date
 from pathlib import Path
 
-from bibnet.corpus import CorpusError, corpus_stats, ingest, parse_date
+from bibnet.corpus import CorpusError, corpus_stats, ingest, parse_date, read_text
 from bibnet.network import KINDS, NetworkParams, normalize_kind
 from bibnet.pipeline import RunConfig, run_all
 from bibnet.sqlgen import DEFAULT_DATASET_PREFIX, SqlRequest, render_sql
@@ -170,10 +170,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_sql(args: argparse.Namespace) -> int:
     kind = normalize_kind(args.kind)
-    try:
-        subquery = Path(args.query_file).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        return _fail(f"{args.query_file}: not UTF-8 text ({exc.reason})")
+    subquery = read_text(args.query_file)
     rendered = render_sql(
         SqlRequest(
             user_subquery=subquery,

@@ -17,9 +17,15 @@ explicitly with any other suffix is fatal before any file is read.
   header's is skipped. List-valued cells are ``;``-delimited; concept cells
   encode each mention as ``text:relevance``.
 
-Malformed records are skipped and counted; structural corruption (a
-duplicate id, a CSV header that names a column twice) aborts the ingest.
-``title`` is validated but not kept: nothing downstream reads it.
+Malformed records are skipped and counted, a JSONL line that Python cannot
+build (an over-long integer, deep nesting) among them; structural
+corruption (a duplicate id, a CSV header that names a column twice) aborts
+the ingest. ``title`` is validated but not kept: nothing downstream reads
+it.
+
+Each publication is kept as a row, an exact tuple read by the positions
+named below (``pub[YEAR]``); its concepts are two parallel tuples, the
+texts and their relevances. :func:`Publication` builds a row from keywords.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ from typing import Iterable, Iterator
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # int() alone would also take '+2021', '2_021' and non-ASCII digits
 _CSV_YEAR = re.compile(r"\s*-?[0-9]+\s*")
+# float() alone would also take '+0.5', '0.0_5', '.5', 'nan' and non-ASCII
+# digits; a relevance is a JSON number (RFC 8259 section 6)
+_CSV_RELEVANCE = re.compile(r"\s*-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\s*")
 
 # Reasons kept verbatim in the ingest report are capped so a fully broken
 # file cannot balloon the report.
@@ -63,21 +72,36 @@ class _RecordError(ValueError):
     """Internal: a single record violates an invariant (skip and count)."""
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptMention:
-    concept: str
-    relevance: float
+# A publication is an exact tuple of atoms and tuples of atoms, in this
+# order; the cyclic collector untracks such a tuple within two collections,
+# so later ones never rescan the corpus. Its concepts are two parallel
+# tuples: the texts, and the relevance of each. Any tuple subclass (a
+# NamedTuple, say) would stay tracked, and is slower to build.
+ID, YEAR, DATE_INSERTED, JOURNAL_TITLE, DOC_TYPE, RESEARCH_ORGS, CONCEPT_TEXTS, RELEVANCES = range(8)
 
 
-@dataclass(frozen=True, slots=True)
-class Publication:
-    id: str
-    year: int | None = None
-    date_inserted: date | None = None
-    journal_title: str | None = None
-    doc_type: str | None = None
-    research_orgs: tuple[str, ...] = ()
-    concepts: tuple[ConceptMention, ...] = ()
+def Publication(
+    id: str,
+    year: int | None = None,
+    date_inserted: date | None = None,
+    journal_title: str | None = None,
+    doc_type: str | None = None,
+    research_orgs: Iterable[str] = (),
+    concepts: Iterable[tuple[str, float]] = (),
+) -> tuple:
+    """The publication row of these fields; ``concepts`` are ``(text,
+    relevance)`` pairs. Values are stored as given, unvalidated."""
+    concepts = tuple(concepts)
+    return (
+        id,
+        year,
+        date_inserted,
+        journal_title,
+        doc_type,
+        tuple(research_orgs),
+        tuple(text for text, _ in concepts),
+        tuple(relevance for _, relevance in concepts),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +120,7 @@ class Corpus:
     silently.
     """
 
-    publications: dict[str, Publication]
+    publications: dict[str, tuple]  # id -> publication row
     organisations: dict[str, Organisation]
     unresolved_orgs: frozenset[str]
 
@@ -236,12 +260,14 @@ def _coerce_relevance(value, relevances: dict[float, float]) -> float:
     return relevances.setdefault(rel, rel) if rel else rel
 
 
-def _coerce_concepts(value, shared: _Shared) -> tuple[ConceptMention, ...]:
+def _coerce_concepts(value, shared: _Shared) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The concept texts and, in parallel, their relevances."""
     if value is None:
-        return ()
+        return (), ()
     if not isinstance(value, list):
         raise _RecordError(f"field 'concepts' must be a list, got {type(value).__name__}")
-    mentions = []
+    texts = []
+    relevances = []
     for item in value:
         if not isinstance(item, dict):
             raise _RecordError(f"concepts entries must be objects, got {item!r}")
@@ -251,17 +277,18 @@ def _coerce_concepts(value, shared: _Shared) -> tuple[ConceptMention, ...]:
         text = text.strip().lower()
         if not text:
             raise _RecordError("concept text is empty after trimming")
-        relevance = _coerce_relevance(item.get("relevance"), shared.relevances)
-        mentions.append(ConceptMention(shared.text.setdefault(text, text), relevance))
-    return tuple(mentions)
+        relevances.append(_coerce_relevance(item.get("relevance"), shared.relevances))
+        texts.append(shared.text.setdefault(text, text))
+    return tuple(texts), tuple(relevances)
 
 
 def _share(value: str | None, text: dict[str, str]) -> str | None:
     return value if value is None else text.setdefault(value, value)
 
 
-def parse_publication(record: dict, shared: _Shared | None = None) -> Publication:
-    """Validate one publication record; raises on invariant violations.
+def parse_publication(record: dict, shared: _Shared | None = None) -> tuple:
+    """Validate one publication record into a row; raises on invariant
+    violations.
 
     ``shared`` holds the values already seen in this ingest; repeated
     values are returned as the object stored first.
@@ -270,14 +297,14 @@ def parse_publication(record: dict, shared: _Shared | None = None) -> Publicatio
         shared = _Shared()
     pid = _require_str(record, "id", required=True)
     _require_str(record, "title")  # validated, not kept
-    return Publication(
-        id=pid,
-        year=_coerce_year(record.get("year"), shared.years),
-        date_inserted=_coerce_date(record.get("date_inserted"), shared.dates),
-        journal_title=_share(_require_str(record, "journal_title"), shared.text),
-        doc_type=_coerce_doc_type(record.get("doc_type")),
-        research_orgs=_coerce_org_list(record.get("research_orgs"), shared.text),
-        concepts=_coerce_concepts(record.get("concepts"), shared),
+    return (
+        pid,
+        _coerce_year(record.get("year"), shared.years),
+        _coerce_date(record.get("date_inserted"), shared.dates),
+        _share(_require_str(record, "journal_title"), shared.text),
+        _coerce_doc_type(record.get("doc_type")),
+        _coerce_org_list(record.get("research_orgs"), shared.text),
+        *_coerce_concepts(record.get("concepts"), shared),
     )
 
 
@@ -304,6 +331,12 @@ def _lines(path: Path, newline: str | None = None) -> Iterator[str]:
             raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def read_text(path: str | Path) -> str:
+    """A whole text file, read as corpus files are (``.nql`` and SQL query
+    files use it too): UTF-8 less a leading byte-order mark."""
+    return "".join(_lines(Path(path)))
+
+
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
     for line_no, line in enumerate(_lines(path), start=1):
         if not line.strip():
@@ -312,6 +345,9 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             yield line_no, _RecordError(f"invalid JSON: {exc.msg}"), False
+            continue
+        except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+            yield line_no, _RecordError(f"invalid JSON: {exc}"), False
             continue
         if not isinstance(record, dict):
             yield line_no, _RecordError("record is not an object"), False
@@ -345,10 +381,9 @@ def _csv_to_record(header: list[str], cells: list[str], is_org_file: bool) -> di
             text, sep, rel = part.rpartition(":")
             if not sep:
                 raise _RecordError(f"concept cell entry {part!r} lacks a ':relevance' suffix")
-            try:
-                mentions.append({"concept": text, "relevance": float(rel)})
-            except ValueError:
+            if not _CSV_RELEVANCE.fullmatch(rel):
                 raise _RecordError(f"concept relevance {rel!r} is not a number")
+            mentions.append({"concept": text, "relevance": float(rel)})
         record["concepts"] = mentions
     return record
 
@@ -398,7 +433,7 @@ def expand_corpus_paths(paths: Iterable[str | Path]) -> list[Path]:
     return out
 
 
-def _assemble(records: Iterable[Publication | Organisation]) -> Corpus:
+def _assemble(records: Iterable[tuple | Organisation]) -> Corpus:
     """Build a Corpus from records in the order given.
 
     A repeated publication id aborts with :class:`DuplicateIdError`;
@@ -406,7 +441,7 @@ def _assemble(records: Iterable[Publication | Organisation]) -> Corpus:
     publications aborts with :class:`EmptyCorpusError`. Org ids that no
     organisation resolves are kept in ``unresolved_orgs``.
     """
-    publications: dict[str, Publication] = {}
+    publications: dict[str, tuple] = {}
     organisations: dict[str, Organisation] = {}
     for record in records:
         if isinstance(record, Organisation):
@@ -415,14 +450,15 @@ def _assemble(records: Iterable[Publication | Organisation]) -> Corpus:
             if organisations.setdefault(record.id, record) != record:
                 raise DuplicateIdError("organisation", record.id)
         else:
-            if not record.id:
+            pid = record[ID]
+            if not pid:
                 raise CorpusError("publication id must be non-empty")
-            if record.id in publications:
-                raise DuplicateIdError("publication", record.id)
-            publications[record.id] = record
+            if pid in publications:
+                raise DuplicateIdError("publication", pid)
+            publications[pid] = record
     if not publications:
         raise EmptyCorpusError()
-    referenced = {oid for pub in publications.values() for oid in pub.research_orgs}
+    referenced = {oid for pub in publications.values() for oid in pub[RESEARCH_ORGS]}
     return Corpus(
         publications=publications,
         organisations=organisations,
@@ -430,7 +466,7 @@ def _assemble(records: Iterable[Publication | Organisation]) -> Corpus:
     )
 
 
-def _parse_files(files: list[Path], report: IngestReport) -> Iterator[Publication | Organisation]:
+def _parse_files(files: list[Path], report: IngestReport) -> Iterator[tuple | Organisation]:
     """Valid records of every file in order; malformed rows are skipped and
     counted in ``report``. Repeated values are stored once across all files."""
     shared = _Shared()
@@ -458,8 +494,10 @@ def ingest(paths: Iterable[str | Path]) -> tuple[Corpus, IngestReport]:
     """
     files = expand_corpus_paths(paths)
     report = IngestReport(files=[str(p) for p in files])
-    # The corpus holds no reference cycles, so the cyclic collector would only
-    # rescan the ever-growing heap of new records while they are parsed.
+    # The corpus holds no reference cycles. The collector untracks its rows
+    # anyway, but its full collections would each traverse the ever-growing
+    # publications dict; paused, it makes one pass over the new objects when
+    # re-enabled, which costs less at a million publications.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -473,15 +511,14 @@ def ingest(paths: Iterable[str | Path]) -> tuple[Corpus, IngestReport]:
     return corpus, report
 
 
-def build_corpus(
-    publications: Iterable[Publication], organisations: Iterable[Organisation]
-) -> Corpus:
-    """Assemble a Corpus from already-constructed records (tests, synthesis)."""
+def build_corpus(publications: Iterable[tuple], organisations: Iterable[Organisation]) -> Corpus:
+    """Assemble a Corpus from already-constructed records (tests, synthesis);
+    build each publication row with :func:`Publication`."""
     return _assemble(chain(publications, organisations))
 
 
 def corpus_stats(corpus: Corpus) -> StatsReport:
-    concepts = {m.concept for pub in corpus.publications.values() for m in pub.concepts}
+    concepts = {text for pub in corpus.publications.values() for text in pub[CONCEPT_TEXTS]}
     return StatsReport(
         publications=len(corpus.publications),
         organisations=len(corpus.organisations),

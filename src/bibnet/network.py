@@ -9,7 +9,9 @@ lexicographically greater key first, mirroring the SQL dedup guard; edges
 below ``min_edge_weight`` are dropped. Organisation ids missing from the
 organisations table are excluded (inner-join semantics), and organisation
 labels are ``"{name} ({id})"``. Only the subset's publications are visited;
-subset ids absent from the corpus are ignored.
+subset ids absent from the corpus are ignored. Publication rows are read
+by the positions :mod:`bibnet.corpus` names, and each publication's
+deduplicated entity keys are held as a tuple while the network is built.
 
 The BigQuery templates rendered by :mod:`bibnet.sqlgen` differ from this
 in their ``top_nodes`` step, which shows once ``max_nodes`` cuts into the
@@ -26,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from bibnet.corpus import Corpus
+from bibnet.corpus import CONCEPT_TEXTS, RELEVANCES, RESEARCH_ORGS, Corpus
 from bibnet.query import SubsetResult
 
 ORGANISATION = "organisation"
@@ -86,16 +88,20 @@ def _check_kind(kind: str) -> None:
 
 def _subset_entities(
     corpus: Corpus, subset: SubsetResult, kind: str, params: NetworkParams
-) -> list[set[str]]:
-    """Deduplicated entity keys that may enter the network, one set per
-    subset publication; subset ids absent from the corpus are ignored."""
+) -> list[tuple[str, ...]]:
+    """Deduplicated entity keys that may enter the network, one tuple per
+    subset publication; subset ids absent from the corpus are ignored. A
+    tuple takes about a third of the memory of the set it is built from."""
     pubs = corpus.publications
     members = [pubs[pid] for pid in subset.ids if pid in pubs]
     if kind == ORGANISATION:
         orgs = corpus.organisations
-        return [{oid for oid in pub.research_orgs if oid in orgs} for pub in members]
+        return [tuple({oid for oid in pub[RESEARCH_ORGS] if oid in orgs}) for pub in members]
     gate = params.concept_min_relevance
-    return [{m.concept for m in pub.concepts if m.relevance >= gate} for pub in members]
+    return [
+        tuple({text for text, rel in zip(pub[CONCEPT_TEXTS], pub[RELEVANCES]) if rel >= gate})
+        for pub in members
+    ]
 
 
 def _node_label(corpus: Corpus, kind: str, key: str) -> str:
@@ -106,9 +112,9 @@ def _node_label(corpus: Corpus, kind: str, key: str) -> str:
 
 
 def _rank(
-    corpus: Corpus, entity_sets: list[set[str]], kind: str, params: NetworkParams
+    corpus: Corpus, entity_keys: list[tuple[str, ...]], kind: str, params: NetworkParams
 ) -> list[Node]:
-    counts = Counter(chain.from_iterable(entity_sets))
+    counts = Counter(chain.from_iterable(entity_keys))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: params.max_nodes]
     return [Node(key=key, label=_node_label(corpus, kind, key), pubs=n) for key, n in ranked]
 
@@ -136,13 +142,13 @@ def build_network(
     the subset publications in which both concepts pass the relevance gate.
     """
     _check_kind(kind)
-    entity_sets = _subset_entities(corpus, subset, kind, params)
-    nodes = _rank(corpus, entity_sets, kind, params)
+    entity_keys = _subset_entities(corpus, subset, kind, params)
+    nodes = _rank(corpus, entity_keys, kind, params)
     keys = sorted((node.key for node in nodes), reverse=True)  # i < j: keys[i] > keys[j]
     position = {key: i for i, key in enumerate(keys)}
 
     pair_counts: Counter[tuple[int, int]] = Counter()
-    for entities in entity_sets:
+    for entities in entity_keys:
         members = [position[key] for key in entities if key in position]
         if len(members) >= 2:
             pair_counts.update(combinations(sorted(members), 2))
@@ -159,7 +165,7 @@ def build_network(
         params=params,
         nodes=tuple(nodes),
         edges=edges,
-        subset_size=len(entity_sets),
+        subset_size=len(entity_keys),
     )
 
 

@@ -33,7 +33,19 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from bibnet.corpus import Corpus, Publication, parse_date
+from bibnet.corpus import (
+    CONCEPT_TEXTS,
+    DATE_INSERTED,
+    DOC_TYPE,
+    ID,
+    JOURNAL_TITLE,
+    RESEARCH_ORGS,
+    YEAR,
+    Corpus,
+    CorpusError,
+    parse_date,
+    read_text,
+)
 
 # field name -> the token kind of its literals
 FIELDS: dict[str, str] = {
@@ -87,12 +99,22 @@ class Expr:
     __slots__ = ()
 
 
+# the binary operators, loosest first; each chain of one operator is one node
+_BOOL_OPS = ("OR", "AND")
+
+
 @dataclass(frozen=True, slots=True)
 class BoolExpr(Expr):
     """Two or more ``terms`` joined by one operator, ``"OR"`` or ``"AND"``."""
 
     op: str
     terms: tuple[Expr, ...]
+
+    def __post_init__(self) -> None:
+        if self.op not in _BOOL_OPS:
+            raise ValueError(f"BoolExpr op must be one of {_BOOL_OPS}, got {self.op!r}")
+        if len(self.terms) < 2:
+            raise ValueError(f"BoolExpr needs two or more terms, got {len(self.terms)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,10 +240,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # --- Parser ------------------------------------------------------------------
-
-
-# the binary operators, loosest first; each chain of one operator is one node
-_BOOL_OPS = ("OR", "AND")
 
 
 class _Parser:
@@ -420,7 +438,7 @@ def _child(expr: Expr, parent_level: int) -> str:
 
 # --- Evaluation --------------------------------------------------------------
 
-_Predicate = Callable[[Publication], bool]
+_Predicate = Callable[[tuple], bool]  # over one publication row
 
 # Leaf tests bind the literal as the first operand and receive the record's
 # value second, so each operator is stored with its operands swapped:
@@ -434,19 +452,26 @@ _SWAPPED_OPS = {
     ">=": operator.le,
 }
 
-_concept_text = operator.attrgetter("concept")
+# query field -> its position in a publication row
+_POSITIONS = {
+    "year": YEAR,
+    "date_inserted": DATE_INSERTED,
+    "journal_title": JOURNAL_TITLE,
+    "doc_type": DOC_TYPE,
+    "id": ID,
+    "research_orgs": RESEARCH_ORGS,
+    "concept": CONCEPT_TEXTS,
+}
 
 
 def _leaf(field: str, test: Callable[[object], bool]) -> _Predicate:
     """Apply ``test`` to a field: a multi-valued field matches if any element
     does, and a missing scalar field fails the leaf."""
-    if field == "research_orgs":
-        return lambda pub: any(map(test, pub.research_orgs))
-    if field == "concept":
-        return lambda pub: any(map(test, map(_concept_text, pub.concepts)))
-    get = operator.attrgetter(field)
+    get = operator.itemgetter(_POSITIONS[field])
+    if field in ("research_orgs", "concept"):
+        return lambda pub: any(map(test, get(pub)))
 
-    def scalar(pub: Publication) -> bool:
+    def scalar(pub: tuple) -> bool:
         value = get(pub)
         return value is not None and test(value)
 
@@ -460,13 +485,13 @@ def _compile(expr: Expr, today: date) -> _Predicate:
         # plain loops: any()/all() over a generator cost twice as much here
         terms = tuple(_compile(term, today) for term in expr.terms)
         if expr.op == "OR":
-            def chain(pub: Publication) -> bool:
+            def chain(pub: tuple) -> bool:
                 for term in terms:
                     if term(pub):
                         return True
                 return False
         else:
-            def chain(pub: Publication) -> bool:
+            def chain(pub: tuple) -> bool:
                 for term in terms:
                     if not term(pub):
                         return False
@@ -521,8 +546,8 @@ def load_query_folder(directory: str | Path) -> QueryFolder:
     failures: list[QueryLoadFailure] = []
     for path in sorted(folder.glob(f"*{QUERY_FILE_SUFFIX}")):
         try:
-            queries.append(parse_query(path.read_text(encoding="utf-8-sig"), name=path.stem))
-        except (QueryError, UnicodeDecodeError) as exc:
+            queries.append(parse_query(read_text(path), name=path.stem))
+        except (QueryError, CorpusError) as exc:
             failures.append(QueryLoadFailure(name=path.stem, error=str(exc)))
     if not queries:
         raise NoRunnableQueriesError(f"no runnable queries in {folder}")

@@ -405,7 +405,7 @@ def validate_bundle(directory: str | Path) -> list[str]:
         return [f"missing {MANIFEST_FILE} in {root}"]
     try:
         manifest = json.loads(manifest_path.read_text("utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
         return [f"{MANIFEST_FILE} is not valid UTF-8 JSON: {exc}"]
 
     networks = manifest.get("networks") if isinstance(manifest, dict) else None
@@ -433,7 +433,7 @@ def validate_bundle(directory: str | Path) -> list[str]:
             continue
         try:
             data = json.loads(path.read_text("utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             problems.append(f"{rel}: not valid UTF-8 JSON: {exc}")
             continue
         document_problems = validate_document_dict(data)

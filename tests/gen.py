@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from datetime import date, timedelta
 
-from bibnet.corpus import ConceptMention, Corpus, Organisation, Publication, build_corpus
+from bibnet.corpus import Corpus, Organisation, Publication, build_corpus
 from bibnet.network import NetworkParams
 from bibnet.query import (
     BoolExpr,
@@ -66,7 +66,7 @@ def random_corpus(
         orgs = tuple(rng.choice(referable) for _ in range(k_orgs))
         k_concepts = rng.randint(0, 8)
         concepts = tuple(
-            ConceptMention(rng.choice(concept_pool), round(rng.random(), 3))
+            (rng.choice(concept_pool), round(rng.random(), 3))
             for _ in range(k_concepts)
         )
         rng.random()  # the draw that once chose a title; kept so seeded corpora do not change

@@ -9,7 +9,7 @@ checked against and must never be imported by shipping code.
 
 from __future__ import annotations
 
-from bibnet.corpus import Corpus
+from bibnet.corpus import CONCEPT_TEXTS, RELEVANCES, RESEARCH_ORGS, Corpus
 from bibnet.network import ORGANISATION, Edge, Network, NetworkParams, Node
 from bibnet.query import SubsetResult
 
@@ -23,13 +23,13 @@ def brute_force_network(
     for pub in subset_pubs:
         entities: set[str] = set()
         if kind == ORGANISATION:
-            for oid in pub.research_orgs:
+            for oid in pub[RESEARCH_ORGS]:
                 if oid in corpus.organisations:
                     entities.add(oid)
         else:
-            for mention in pub.concepts:
-                if mention.relevance >= params.concept_min_relevance:
-                    entities.add(mention.concept)
+            for text, relevance in zip(pub[CONCEPT_TEXTS], pub[RELEVANCES]):
+                if relevance >= params.concept_min_relevance:
+                    entities.add(text)
         pub_entities.append(entities)
 
     candidates: set[str] = set()

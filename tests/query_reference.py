@@ -12,7 +12,16 @@ from __future__ import annotations
 
 from datetime import date, timedelta
 
-from bibnet.corpus import Corpus, Publication
+from bibnet.corpus import (
+    CONCEPT_TEXTS,
+    DATE_INSERTED,
+    DOC_TYPE,
+    ID,
+    JOURNAL_TITLE,
+    RESEARCH_ORGS,
+    YEAR,
+    Corpus,
+)
 from bibnet.query import BoolExpr, Comparison, DateWindow, Expr, Membership, NotExpr
 
 _OPS = {
@@ -25,25 +34,25 @@ _OPS = {
 }
 
 
-def field_values(pub: Publication, field: str) -> list:
+def field_values(pub: tuple, field: str) -> list:
     if field == "year":
-        return [pub.year] if pub.year is not None else []
+        return [pub[YEAR]] if pub[YEAR] is not None else []
     if field == "date_inserted":
-        return [pub.date_inserted] if pub.date_inserted is not None else []
+        return [pub[DATE_INSERTED]] if pub[DATE_INSERTED] is not None else []
     if field == "journal_title":
-        return [pub.journal_title] if pub.journal_title is not None else []
+        return [pub[JOURNAL_TITLE]] if pub[JOURNAL_TITLE] is not None else []
     if field == "doc_type":
-        return [pub.doc_type] if pub.doc_type is not None else []
+        return [pub[DOC_TYPE]] if pub[DOC_TYPE] is not None else []
     if field == "id":
-        return [pub.id]
+        return [pub[ID]]
     if field == "research_orgs":
-        return list(pub.research_orgs)
+        return list(pub[RESEARCH_ORGS])
     if field == "concept":
-        return [m.concept for m in pub.concepts]
+        return list(pub[CONCEPT_TEXTS])
     raise KeyError(field)
 
 
-def matches(expr: Expr, pub: Publication, today: date) -> bool:
+def matches(expr: Expr, pub: tuple, today: date) -> bool:
     if isinstance(expr, BoolExpr):
         combine = {"OR": any, "AND": all}[expr.op]
         return combine(matches(term, pub, today) for term in expr.terms)

@@ -334,7 +334,7 @@ def test_scale_million_publications():
     org_ids = [f"grid.{i:06d}" for i in range(n_orgs)]
     organisations = {oid: Organisation(id=oid, name=f"Org {i}") for i, oid in enumerate(org_ids)}
 
-    publications: dict[str, Publication] = {}
+    publications: dict[str, tuple] = {}
     offsets = numpy.concatenate([[0], numpy.cumsum(lengths)])
     rank_list = ranks.tolist()
     for i in range(n_pubs):

@@ -2,7 +2,8 @@
 
 Every subcommand is crossed with the bad inputs it can meet. Each case
 ends in exit code 1, no traceback and a first stderr line that starts with
-``error:`` (``invalid:`` for ``validate``), or in a counted skip. Cells
+``error:`` (``invalid:`` for ``validate``), or in a counted skip of the bad
+query file or corpus record. Cells
 left out do not fail by design: ``build`` creates a missing ``--out`` with
 its parents, ``serve`` and ``validate`` only read a locked bundle, and
 ``serve`` serves a bundle whose ``manifest.json`` is empty or not UTF-8.
@@ -25,6 +26,10 @@ CORPUS = [
     {"id": "g2", "name": "Two"},
 ]
 PORT = "8123"  # never bound: every serve case fails before binding
+# JSON that parses by the grammar but that Python cannot build: an integer
+# past CPython's 4300-digit limit, and nesting past the recursion limit
+LONG_INT = '{"id": "p9", "year": ' + "9" * 5001 + "}"
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def _inputs(tmp_path) -> SimpleNamespace:
@@ -40,6 +45,9 @@ def _inputs(tmp_path) -> SimpleNamespace:
         (tmp_path / name).write_bytes(b"")
     for name in ("latin.jsonl", "latin.sql"):
         (tmp_path / name).write_bytes(LATIN_1)
+    # corpora with one record Python cannot build, on line 4
+    for name, bad in (("long-int.jsonl", LONG_INT), ("deep.jsonl", DEEP)):
+        (tmp_path / name).write_text(p.corpus.read_text("utf-8") + bad + "\n", encoding="utf-8")
     p.notes = tmp_path / "notes.txt"
     p.notes.write_text("not a corpus file\n", encoding="utf-8")
     p.sql = tmp_path / "subset.sql"
@@ -63,6 +71,16 @@ def _inputs(tmp_path) -> SimpleNamespace:
     for bundle, data in (("manifest-empty", b""), ("manifest-latin", b"\xff\xfe{}")):
         (tmp_path / bundle).mkdir()
         (tmp_path / bundle / "manifest.json").write_bytes(data)
+    (tmp_path / "manifest-long-int").mkdir()
+    (tmp_path / "manifest-long-int" / "manifest.json").write_text(
+        '{"networks": [], "n": ' + "9" * 5001 + "}", encoding="utf-8"
+    )
+    (tmp_path / "network-deep" / "networks").mkdir(parents=True)
+    (tmp_path / "network-deep" / "manifest.json").write_text(
+        json.dumps({"networks": [{"file": "networks/deep.json", "nodes": 0, "edges": 0}]}),
+        encoding="utf-8",
+    )
+    (tmp_path / "network-deep" / "networks" / "deep.json").write_text(DEEP, encoding="utf-8")
     return p
 
 
@@ -76,7 +94,7 @@ def _sql(p, query_file=None, params_out=None) -> list:
     return argv + (["--params-out", params_out] if params_out else [])
 
 
-ERROR, SKIP = "error", "counted skip"
+ERROR, SKIP, RECORD_SKIP = "error", "counted skip", "counted record skip"
 
 CASES = [
     ("ingest", "missing path", lambda p: ["ingest", "--corpus", p.missing / "c.jsonl"], ERROR),
@@ -90,6 +108,12 @@ CASES = [
     ("ingest", "non-UTF-8 bytes", lambda p: ["ingest", "--corpus", p.root / "latin.jsonl"], ERROR),
     ("ingest", "unsupported suffix",
      lambda p: ["ingest", "--corpus", p.root / "latin.jsonl", p.notes], ERROR),
+    ("ingest", "over-long integer",
+     lambda p: ["ingest", "--corpus", p.root / "long-int.jsonl", "--report", p.root / "r.json"],
+     RECORD_SKIP),
+    ("ingest", "deeply nested record",
+     lambda p: ["ingest", "--corpus", p.root / "deep.jsonl", "--report", p.root / "r.json"],
+     RECORD_SKIP),
     ("build", "missing path", lambda p: _build(p, corpus=[p.missing / "c.jsonl"]), ERROR),
     ("build", "missing query folder", lambda p: _build(p, queries="missing"), ERROR),
     ("build", "directory for a file", lambda p: _build(p, out=p.root / "manifest-dir"), ERROR),
@@ -105,6 +129,10 @@ CASES = [
     ("build", "locked bundle", lambda p: _build(p, out=p.root / "locked"), ERROR),
     ("build", "unsupported suffix",
      lambda p: _build(p, corpus=[p.root / "latin.jsonl", p.notes]), ERROR),
+    ("build", "over-long integer",
+     lambda p: _build(p, corpus=[p.root / "long-int.jsonl"]), RECORD_SKIP),
+    ("build", "deeply nested record", lambda p: _build(p, corpus=[p.root / "deep.jsonl"]),
+     RECORD_SKIP),
     ("sql", "missing path", lambda p: _sql(p, query_file=p.missing / "q.sql"), ERROR),
     ("sql", "directory for a file", lambda p: _sql(p, query_file=p.directory), ERROR),
     ("sql", "file for a directory", lambda p: _sql(p, params_out=p.plain / "p.json"), ERROR),
@@ -124,6 +152,10 @@ CASES = [
     ("validate", "empty file", lambda p: ["validate", "--dir", p.root / "manifest-empty"], ERROR),
     ("validate", "non-UTF-8 bytes",
      lambda p: ["validate", "--dir", p.root / "manifest-latin"], ERROR),
+    ("validate", "over-long integer",
+     lambda p: ["validate", "--dir", p.root / "manifest-long-int"], ERROR),
+    ("validate", "deeply nested network file",
+     lambda p: ["validate", "--dir", p.root / "network-deep"], ERROR),
 ]
 
 
@@ -142,6 +174,14 @@ def test_bad_input_is_a_named_error_or_a_counted_skip(
         report = json.loads((p.out / "run_report.json").read_text("utf-8"))
         assert [skip["query"] for skip in report["skipped"]] == ["bad"]
         assert report["processed"] == 1
+        return
+    if outcome == RECORD_SKIP:
+        assert code == 0
+        report_file = p.out / "run_report.json" if command == "build" else p.root / "r.json"
+        ingest = json.loads(report_file.read_text("utf-8"))["ingest"]
+        assert ingest["skipped"] == 1
+        [reason] = ingest["skip_reasons"]
+        assert reason.startswith(f"{make_argv(p)[2]}:4: invalid JSON: ")
         return
     assert code == 1
     assert err.splitlines()[0].startswith("invalid:" if command == "validate" else "error:")

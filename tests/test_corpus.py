@@ -11,6 +11,13 @@ import pytest
 
 from bibnet.cli import main
 from bibnet.corpus import (
+    CONCEPT_TEXTS,
+    DATE_INSERTED,
+    DOC_TYPE,
+    JOURNAL_TITLE,
+    RELEVANCES,
+    RESEARCH_ORGS,
+    YEAR,
     CorpusError,
     DuplicateIdError,
     EmptyCorpusError,
@@ -104,7 +111,7 @@ def test_invalid_field_skips_the_record_with_its_reason(tmp_path, record, reason
 
 def test_title_is_validated_but_not_stored():
     # validation is pinned by the skip-reason test above
-    assert "title" not in Publication.__dataclass_fields__
+    assert "Title" not in parse_publication({"id": "p", "title": "Title"})
 
 
 def test_repeated_values_are_stored_once(tmp_path):
@@ -121,12 +128,45 @@ def test_repeated_values_are_stored_once(tmp_path):
     path = write_jsonl(tmp_path / "corpus.jsonl", [first, second] + ORGS)
     corpus, _ = ingest([path])
     a, b = corpus.publications["pub.a"], corpus.publications["pub.b"]
-    assert a.year is b.year
-    assert a.date_inserted is b.date_inserted
-    assert a.journal_title is b.journal_title
-    assert a.research_orgs[0] is b.research_orgs[0] is corpus.organisations["grid.1"].id
-    assert a.concepts[0].concept is b.concepts[0].concept
-    assert a.concepts[0].relevance is b.concepts[0].relevance
+    assert a[YEAR] is b[YEAR]
+    assert a[DATE_INSERTED] is b[DATE_INSERTED]
+    assert a[JOURNAL_TITLE] is b[JOURNAL_TITLE]
+    assert a[RESEARCH_ORGS][0] is b[RESEARCH_ORGS][0] is corpus.organisations["grid.1"].id
+    assert a[CONCEPT_TEXTS][0] is b[CONCEPT_TEXTS][0]
+    assert a[RELEVANCES][0] is b[RELEVANCES][0]
+
+
+def test_publications_are_exact_tuples_the_collector_untracks(fixtures_dir, tmp_path):
+    pubs_csv = tmp_path / "pubs.csv"
+    pubs_csv.write_text('id,research_orgs,concepts\np1,grid.1,"masks:0.4;virus:1"\n', "utf-8")
+    corpus, _ = ingest([fixtures_dir / "corpus", pubs_csv])
+    # the first collection to meet a row can meet it before the tuples inside
+    # it; it untracks those, and the next one the row
+    gc.collect()
+    gc.collect()
+    for pub in corpus.publications.values():
+        assert type(pub) is tuple
+        assert not gc.is_tracked(pub)
+        assert type(pub[RESEARCH_ORGS]) is tuple
+        assert type(pub[CONCEPT_TEXTS]) is tuple and type(pub[RELEVANCES]) is tuple
+        assert len(pub[CONCEPT_TEXTS]) == len(pub[RELEVANCES])
+
+
+def test_the_constructor_and_a_parsed_record_give_equal_rows():
+    built = Publication(
+        id="pub.1",
+        year=2021,
+        date_inserted=date(2021, 5, 1),
+        journal_title="Nature",
+        doc_type="article",
+        research_orgs=["grid.1", "grid.2"],
+        concepts=[("covid-19", 0.9)],
+    )
+    assert built == parse_publication(PUBS[0])
+    assert Publication(id="pub.2") == parse_publication({"id": "pub.2"})
+    gc.collect()
+    gc.collect()
+    assert type(built) is tuple and not gc.is_tracked(built)
 
 
 def test_equal_values_of_different_types_are_not_shared(tmp_path):
@@ -140,8 +180,8 @@ def test_equal_values_of_different_types_are_not_shared(tmp_path):
     path = write_jsonl(tmp_path / "corpus.jsonl", records)
     corpus, _ = ingest([path])
     pub = corpus.publications["pub.b"]
-    assert type(pub.year) is int
-    assert str(pub.concepts[0].relevance) == "-0.0"
+    assert type(pub[YEAR]) is int
+    assert str(pub[RELEVANCES][0]) == "-0.0"
 
 
 @pytest.fixture
@@ -217,19 +257,19 @@ def test_unresolved_orgs_are_recorded_not_dropped(tmp_path):
     assert corpus.unresolved_orgs == {"grid.404"}
     assert report.unresolved_org_count == 1
     # still present on the publication itself
-    assert "grid.404" in corpus.publications["pub.2"].research_orgs
+    assert "grid.404" in corpus.publications["pub.2"][RESEARCH_ORGS]
 
 
 def test_concept_text_is_normalized_lowercase(tmp_path):
     path = write_jsonl(tmp_path / "corpus.jsonl", PUBS + ORGS)
     corpus, _ = ingest([path])
-    assert corpus.publications["pub.1"].concepts[0].concept == "covid-19"
+    assert corpus.publications["pub.1"][CONCEPT_TEXTS][0] == "covid-19"
 
 
 def test_timestamp_date_inserted_keeps_date_part(tmp_path):
     path = write_jsonl(tmp_path / "corpus.jsonl", PUBS + ORGS)
     corpus, _ = ingest([path])
-    assert corpus.publications["pub.2"].date_inserted == date(2022, 1, 10)
+    assert corpus.publications["pub.2"][DATE_INSERTED] == date(2022, 1, 10)
 
 
 @pytest.mark.parametrize("text", ["20210101", "2021-W01-1"])
@@ -249,7 +289,7 @@ def test_unknown_doc_type_folds_into_other(tmp_path):
     rec = dict(PUBS[2], id="pub.4", doc_type="monograph")
     path = write_jsonl(tmp_path / "corpus.jsonl", PUBS + [rec] + ORGS)
     corpus, _ = ingest([path])
-    assert corpus.publications["pub.4"].doc_type == "other"
+    assert corpus.publications["pub.4"][DOC_TYPE] == "other"
 
 
 def test_identical_org_relisting_is_tolerated(tmp_path):
@@ -291,9 +331,9 @@ def test_csv_ingest_with_list_cells(tmp_path):
     corpus, report = ingest([pubs_csv, orgs_csv])
     assert report.skipped == 0
     pub = corpus.publications["pub.10"]
-    assert pub.research_orgs == ("grid.1", "grid.2")
-    assert [(c.concept, c.relevance) for c in pub.concepts] == [("covid-19", 0.9), ("masks", 0.4)]
-    assert corpus.publications["pub.11"].date_inserted is None
+    assert pub[RESEARCH_ORGS] == ("grid.1", "grid.2")
+    assert (pub[CONCEPT_TEXTS], pub[RELEVANCES]) == (("covid-19", "masks"), (0.9, 0.4))
+    assert corpus.publications["pub.11"][DATE_INSERTED] is None
 
 
 def test_csv_row_whose_cell_count_differs_from_the_header_is_skipped(tmp_path):
@@ -330,7 +370,7 @@ def test_csv_header_is_the_first_non_blank_row(tmp_path):
     blank_first = tmp_path / "blankfirst.csv"
     blank_first.write_text("\nid,year\np1,2020\n", encoding="utf-8")
     corpus, report = ingest([pubs, blank_first])
-    assert corpus.publications["p1"].year == 2020
+    assert corpus.publications["p1"][YEAR] == 2020
     assert (report.rows_total, report.skipped) == (4, 0)
     # skip reasons still count physical lines, the leading blank ones included
     two_blank = tmp_path / "twoblank.csv"
@@ -344,8 +384,31 @@ def test_csv_year_must_be_ascii_digits(tmp_path, cell):
     pubs_csv = tmp_path / "pubs.csv"
     pubs_csv.write_text(f"id,year\np1, 2021 \np2,-5\np3,{cell}\n", encoding="utf-8")
     corpus, report = ingest([pubs_csv])
-    assert {pid: pub.year for pid, pub in corpus.publications.items()} == {"p1": 2021, "p2": -5}
+    assert {pid: pub[YEAR] for pid, pub in corpus.publications.items()} == {"p1": 2021, "p2": -5}
     assert report.skip_reasons == [f"{pubs_csv}:4: field 'year' must be an integer, got {cell!r}"]
+
+
+@pytest.mark.parametrize(
+    "cell, bad",
+    [
+        ("masks:\u0660.\u0669;covid:0.0_5;virus:+0.5", "\u0660.\u0669"),
+        ("masks:0.0_5", "0.0_5"),
+        ("masks:+0.5", "+0.5"),
+        ("masks:.5", ".5"),
+        ("masks:5.", "5."),
+        ("masks:00.5", "00.5"),
+        ("masks:nan", "nan"),
+        ("masks:0x1", "0x1"),
+        ("masks:1e", "1e"),
+    ],
+)
+def test_csv_relevance_must_be_a_json_number(tmp_path, cell, bad):
+    pubs_csv = tmp_path / "pubs.csv"
+    good = "a:0;b:1;c:0.25; d : 5E-1 ;e:2.5e-1;f:-0"
+    pubs_csv.write_text(f'id,concepts\np1,"{good}"\np2,"{cell}"\n', encoding="utf-8")
+    corpus, report = ingest([pubs_csv])
+    assert corpus.publications["p1"][RELEVANCES] == (0.0, 1.0, 0.25, 0.5, 0.25, -0.0)
+    assert report.skip_reasons == [f"{pubs_csv}:3: concept relevance {bad!r} is not a number"]
 
 
 def test_leading_byte_order_mark_is_ignored(tmp_path):
@@ -356,7 +419,7 @@ def test_leading_byte_order_mark_is_ignored(tmp_path):
     corpus, report = ingest([jsonl, pubs_csv])
     assert report.skipped == 0
     assert sorted(corpus.publications) == ["p1", "pub.1", "pub.2", "pub.3"]
-    assert corpus.publications["p1"].year == 2020
+    assert corpus.publications["p1"][YEAR] == 2020
 
 
 def test_csv_header_naming_a_column_twice_is_fatal(tmp_path):
@@ -433,7 +496,7 @@ def test_random_corpus_generator_is_well_formed():
     for _ in range(20):
         corpus = random_corpus(rng)
         for pub in corpus.publications.values():
-            for mention in pub.concepts:
-                assert 0.0 <= mention.relevance <= 1.0
+            for relevance in pub[RELEVANCES]:
+                assert 0.0 <= relevance <= 1.0
         for oid in corpus.unresolved_orgs:
             assert oid not in corpus.organisations

@@ -6,7 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibnet.corpus import ConceptMention, Organisation, Publication, build_corpus
+from bibnet.corpus import (
+    CONCEPT_TEXTS,
+    DATE_INSERTED,
+    DOC_TYPE,
+    ID,
+    JOURNAL_TITLE,
+    RELEVANCES,
+    RESEARCH_ORGS,
+    YEAR,
+    Organisation,
+    Publication,
+    build_corpus,
+)
 from bibnet.network import (
     CONCEPT,
     KINDS,
@@ -140,11 +152,11 @@ def concept_corpus():
     pubs = [
         Publication(
             id="p1",
-            concepts=(ConceptMention("x", 0.9), ConceptMention("y", 0.8)),
+            concepts=(("x", 0.9), ("y", 0.8)),
         ),
         Publication(
             id="p2",
-            concepts=(ConceptMention("x", 0.9), ConceptMention("y", 0.2)),
+            concepts=(("x", 0.9), ("y", 0.2)),
         ),
     ]
     return build_corpus(pubs, [])
@@ -167,8 +179,8 @@ def test_gate_disabled_counts_both_publications():
 
 def test_single_concept_publications_rank_nodes_without_edges():
     pubs = [
-        Publication(id="p1", concepts=(ConceptMention("alone", 0.9),)),
-        Publication(id="p2", concepts=(ConceptMention("alone", 0.7),)),
+        Publication(id="p1", concepts=(("alone", 0.9),)),
+        Publication(id="p2", concepts=(("alone", 0.7),)),
     ]
     corpus = build_corpus(pubs, [])
     network = build_network(corpus, all_ids(corpus), CONCEPT, NetworkParams(min_edge_weight=1))
@@ -248,17 +260,17 @@ def test_org_list_order_never_matters(seed):
 
     shuffled_pubs = []
     for pub in corpus.publications.values():
-        orgs = list(pub.research_orgs)
+        orgs = list(pub[RESEARCH_ORGS])
         rng.shuffle(orgs)
         shuffled_pubs.append(
             Publication(
-                id=pub.id,
-                year=pub.year,
-                date_inserted=pub.date_inserted,
-                journal_title=pub.journal_title,
-                doc_type=pub.doc_type,
+                id=pub[ID],
+                year=pub[YEAR],
+                date_inserted=pub[DATE_INSERTED],
+                journal_title=pub[JOURNAL_TITLE],
+                doc_type=pub[DOC_TYPE],
                 research_orgs=tuple(orgs),
-                concepts=pub.concepts,
+                concepts=zip(pub[CONCEPT_TEXTS], pub[RELEVANCES]),
             )
         )
     shuffled = build_corpus(shuffled_pubs, corpus.organisations.values())

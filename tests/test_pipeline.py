@@ -353,6 +353,18 @@ def test_cli_output_in_missing_directory_is_an_error(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+def test_cli_sql_drops_a_leading_byte_order_mark(tmp_path, capsys):
+    plain, bom = tmp_path / "plain.sql", tmp_path / "bom.sql"
+    plain.write_bytes(b"select id from x\n")
+    bom.write_bytes(b"\xef\xbb\xbfselect id from x\n")
+    outputs = []
+    for query_file in (plain, bom):
+        assert main(["sql", "--kind", "org", "--query-file", str(query_file)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "\ufeff" not in outputs[1]
+    assert outputs[1] == outputs[0]
+
+
 def test_cli_sql_names_a_query_file_that_is_not_utf8(tmp_path, capsys):
     query_file = tmp_path / "latin.sql"
     query_file.write_bytes('SELECT id FROM x WHERE title = "Caf\xe9"'.encode("latin-1"))

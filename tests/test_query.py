@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibnet.cli import main
-from bibnet.corpus import Publication, build_corpus, ingest
+from bibnet.corpus import (
+    CONCEPT_TEXTS,
+    DATE_INSERTED,
+    RESEARCH_ORGS,
+    Publication,
+    build_corpus,
+    ingest,
+)
 from bibnet.query import (
     MAX_NESTING,
     BoolExpr,
@@ -149,6 +156,22 @@ def test_a_chain_of_one_operator_is_one_node_printed_flat():
         assert print_query(parse_query(text).ast) == text
 
 
+@pytest.mark.parametrize(
+    "op, n, message",
+    [
+        ("or", 2, "op must be one of"),
+        ("XOR", 2, "op must be one of"),
+        ("OR", 1, "two or more terms, got 1"),
+        ("AND", 0, "two or more terms, got 0"),
+    ],
+)
+def test_a_chain_checks_its_operator_and_its_term_count(op, n, message):
+    # unchecked, BoolExpr("or", ...) evaluated as AND and BoolExpr("OR", (a,))
+    # printed as `a`, which parses back to a different node
+    with pytest.raises(ValueError, match=message):
+        BoolExpr(op, (Comparison("year", "==", 2020),) * n)
+
+
 def test_print_query_round_trips_a_100000_term_chain():
     chain = BoolExpr("OR", tuple(Comparison("year", "==", y) for y in range(100_000)))
     assert parse_query(print_query(chain)).ast == chain
@@ -174,7 +197,7 @@ def test_date_window_inclusive_lower_bound():
 @pytest.mark.parametrize("days", [1_000_000, 10**12])
 def test_last_days_window_before_year_one_selects_every_dated_publication(fixtures_dir, days):
     corpus, _ = ingest([fixtures_dir / "corpus"])
-    dated = {pid for pid, pub in corpus.publications.items() if pub.date_inserted is not None}
+    dated = {pid for pid, pub in corpus.publications.items() if pub[DATE_INSERTED] is not None}
     assert dated
     query = parse_query(f"last_days(date_inserted, {days})")
     assert eval_query(query, corpus, TODAY).ids == dated
@@ -323,6 +346,17 @@ def test_folder_ignores_a_leading_byte_order_mark(tmp_path):
     assert folder.queries[0].ast == Comparison("year", ">=", 2021)
 
 
+def test_folder_names_a_query_file_that_is_not_utf8(tmp_path):
+    (tmp_path / "good.nql").write_text("year >= 2021\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.nql"
+    latin1.write_bytes('journal_title == "Caf\xe9"\n'.encode("latin-1"))
+    folder = load_query_folder(tmp_path)
+    assert [q.name for q in folder.queries] == ["good"]
+    assert [(f.name, f.error) for f in folder.failures] == [
+        ("latin1", f"{latin1}: not UTF-8 text (invalid continuation byte)")
+    ]
+
+
 def test_empty_folder_is_fatal(tmp_path):
     with pytest.raises(NoRunnableQueriesError):
         load_query_folder(tmp_path)
@@ -393,15 +427,15 @@ def test_compiled_evaluation_matches_reference(seed):
     # leaves the random ASTs reach only by chance: != on multi-valued
     # fields (repeated org listings included) and missing optional fields
     exprs += [
-        Comparison("research_orgs", "!=", rng.choice(pub.research_orgs or ("grid.1000.0",))),
-        Comparison("concept", "!=", pub.concepts[0].concept if pub.concepts else "topic-0"),
+        Comparison("research_orgs", "!=", rng.choice(pub[RESEARCH_ORGS] or ("grid.1000.0",))),
+        Comparison("concept", "!=", pub[CONCEPT_TEXTS][0] if pub[CONCEPT_TEXTS] else "topic-0"),
         NotExpr(Comparison("year", ">=", 1000)),
         Comparison("journal_title", "!=", "Nature"),
         NotExpr(Comparison("doc_type", "==", "article")),
         Membership("doc_type", ("article", "preprint")),
     ]
     # a window whose lower bound falls exactly on an inserted date
-    earlier = [p.date_inserted for p in pubs if p.date_inserted and p.date_inserted < TODAY]
+    earlier = [p[DATE_INSERTED] for p in pubs if p[DATE_INSERTED] and p[DATE_INSERTED] < TODAY]
     if earlier:
         exprs.append(DateWindow("date_inserted", (TODAY - rng.choice(earlier)).days))
     for expr in exprs:
