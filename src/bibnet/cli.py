@@ -21,7 +21,7 @@ from datetime import date
 from pathlib import Path
 
 from bibnet.corpus import CorpusError, corpus_stats, ingest, parse_date, read_text
-from bibnet.network import KINDS, NetworkParams, normalize_kind
+from bibnet.network import KIND_SLUGS, KINDS, NetworkParams, normalize_kind
 from bibnet.pipeline import RunConfig, run_all
 from bibnet.sqlgen import DEFAULT_DATASET_PREFIX, SqlRequest, render_sql
 from bibnet.version import ENGINE_VERSION
@@ -48,17 +48,12 @@ def _parse_today(value: str) -> date:
 
 
 def _parse_kinds(value: str) -> tuple[str, ...]:
-    kinds = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            kinds.append(normalize_kind(part))
-        except ValueError as exc:  # argparse would print only the function's name
-            raise argparse.ArgumentTypeError(str(exc)) from None
+    try:
+        kinds = [normalize_kind(part) for part in map(str.strip, value.split(",")) if part]
+    except ValueError as exc:  # argparse would print only the function's name
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not kinds:
-        raise argparse.ArgumentTypeError("--kinds needs at least one of: org, concept")
+        raise argparse.ArgumentTypeError(f"--kinds needs at least one of: {', '.join(KIND_SLUGS)}")
     # stable de-dup, preserving first occurrence
     return tuple(dict.fromkeys(kinds))
 
@@ -101,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kinds",
         type=_parse_kinds,
         default=KINDS,
-        help="comma list of network kinds (org, concept); default both",
+        help=f"comma list of network kinds ({', '.join(KIND_SLUGS)}); default both",
     )
     p_build.add_argument(
         "--today",
@@ -112,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(p_build)
 
     p_sql = sub.add_parser("sql", help="render the BigQuery template for a subquery file")
-    p_sql.add_argument("--kind", required=True, help="org or concept")
+    p_sql.add_argument("--kind", required=True, help=" or ".join(KIND_SLUGS))
     p_sql.add_argument("--query-file", required=True, help="file containing the SQL subquery")
     p_sql.add_argument("--dataset-prefix", default=DEFAULT_DATASET_PREFIX)
     p_sql.add_argument(

@@ -33,7 +33,14 @@ from bibnet.query import SubsetResult
 
 ORGANISATION = "organisation"
 CONCEPT = "concept"
-KINDS = (ORGANISATION, CONCEPT)
+# each kind -> the spellings the command line accepts, its file-name slug first
+KIND_SPELLINGS: dict[str, tuple[str, ...]] = {
+    ORGANISATION: ("org", "orgs", "organisation", "organization", "organisations"),
+    CONCEPT: ("concept", "concepts"),
+}
+KINDS = tuple(KIND_SPELLINGS)
+KIND_SLUGS = tuple(spellings[0] for spellings in KIND_SPELLINGS.values())
+_KIND_OF_SPELLING = {s: kind for kind, spellings in KIND_SPELLINGS.items() for s in spellings}
 
 DEFAULT_MAX_NODES = 500
 DEFAULT_MIN_EDGE_WEIGHT = 2
@@ -81,7 +88,7 @@ class Network:
     subset_size: int
 
 
-def _check_kind(kind: str) -> None:
+def check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown network kind {kind!r} (expected one of {KINDS})")
 
@@ -128,7 +135,7 @@ def top_nodes(
     listings; for concepts only mentions at or above the relevance gate
     participate.
     """
-    _check_kind(kind)
+    check_kind(kind)
     return _rank(corpus, _subset_entities(corpus, subset, kind, params), kind, params)
 
 
@@ -141,7 +148,7 @@ def build_network(
     two organisations share (author affiliations); for concepts, it counts
     the subset publications in which both concepts pass the relevance gate.
     """
-    _check_kind(kind)
+    check_kind(kind)
     entity_keys = _subset_entities(corpus, subset, kind, params)
     nodes = _rank(corpus, entity_keys, kind, params)
     keys = sorted((node.key for node in nodes), reverse=True)  # i < j: keys[i] > keys[j]
@@ -170,15 +177,14 @@ def build_network(
 
 
 def normalize_kind(value: str) -> str:
-    """Map CLI/user spellings (org, orgs, concepts, ...) to a canonical kind."""
-    lowered = value.strip().lower()
-    if lowered in ("org", "orgs", "organisation", "organization", "organisations"):
-        return ORGANISATION
-    if lowered in ("concept", "concepts"):
-        return CONCEPT
-    raise ValueError(f"unknown network kind {value!r} (expected 'org' or 'concept')")
+    """Map a command-line spelling (org, orgs, concepts, ...) to its kind."""
+    kind = _KIND_OF_SPELLING.get(value.strip().lower())
+    if kind is None:
+        expected = " or ".join(map(repr, KIND_SLUGS))
+        raise ValueError(f"unknown network kind {value!r} (expected {expected})")
+    return kind
 
 
 def kind_slug(kind: str) -> str:
-    _check_kind(kind)
-    return "org" if kind == ORGANISATION else "concept"
+    check_kind(kind)
+    return KIND_SPELLINGS[kind][0]

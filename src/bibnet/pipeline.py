@@ -13,10 +13,10 @@ from datetime import date
 from pathlib import Path
 
 from bibnet.corpus import IngestReport, StatsReport, corpus_stats, ingest
-from bibnet.network import KINDS, NetworkParams, _check_kind, build_network
+from bibnet.network import KINDS, NetworkParams, build_network, check_kind
 from bibnet.query import eval_query, load_query_folder
 from bibnet.version import ENGINE_VERSION
-from bibnet.vos import _atomic_write_text, now_stamp, to_vos_json, write_bundle
+from bibnet.vos import atomic_write_text, now_stamp, to_vos_json, write_bundle
 
 RUN_REPORT_FILE = "run_report.json"
 
@@ -33,8 +33,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.kinds:
             raise ValueError("at least one network kind is required")
-        for kind in self.kinds:
-            _check_kind(kind)
+        for n, kind in enumerate(self.kinds):
+            check_kind(kind)
+            if kind in self.kinds[:n]:
+                raise ValueError(f"network kind {kind!r} is given twice")
 
 
 @dataclass
@@ -111,7 +113,7 @@ def run_all(config: RunConfig) -> RunReport:
     report.networks = [
         {**entry, "empty_subset": entry["subset_size"] == 0} for entry in manifest.networks
     ]
-    _atomic_write_text(
+    atomic_write_text(
         Path(config.out_dir) / RUN_REPORT_FILE,
         json.dumps(report.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
     )

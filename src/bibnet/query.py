@@ -47,15 +47,15 @@ from bibnet.corpus import (
     read_text,
 )
 
-# field name -> the token kind of its literals
-FIELDS: dict[str, str] = {
-    "year": "int",
-    "date_inserted": "date",
-    "journal_title": "str",
-    "doc_type": "str",
-    "id": "str",
-    "research_orgs": "str",
-    "concept": "str",
+# field name -> (the token kind of its literals, its position in a publication row)
+FIELDS: dict[str, tuple[str, int]] = {
+    "year": ("int", YEAR),
+    "date_inserted": ("date", DATE_INSERTED),
+    "journal_title": ("str", JOURNAL_TITLE),
+    "doc_type": ("str", DOC_TYPE),
+    "id": ("str", ID),
+    "research_orgs": ("str", RESEARCH_ORGS),
+    "concept": ("str", CONCEPT_TEXTS),
 }
 
 QUERY_FILE_SUFFIX = ".nql"
@@ -328,7 +328,7 @@ class _Parser:
                 tok.line,
                 tok.column,
             )
-        return tok, FIELDS[tok.text]
+        return tok, FIELDS[tok.text][0]
 
     def parse_field_predicate(self) -> Expr:
         field_tok, kind = self.parse_field()
@@ -452,23 +452,13 @@ _SWAPPED_OPS = {
     ">=": operator.le,
 }
 
-# query field -> its position in a publication row
-_POSITIONS = {
-    "year": YEAR,
-    "date_inserted": DATE_INSERTED,
-    "journal_title": JOURNAL_TITLE,
-    "doc_type": DOC_TYPE,
-    "id": ID,
-    "research_orgs": RESEARCH_ORGS,
-    "concept": CONCEPT_TEXTS,
-}
-
 
 def _leaf(field: str, test: Callable[[object], bool]) -> _Predicate:
     """Apply ``test`` to a field: a multi-valued field matches if any element
     does, and a missing scalar field fails the leaf."""
-    get = operator.itemgetter(_POSITIONS[field])
-    if field in ("research_orgs", "concept"):
+    position = FIELDS[field][1]
+    get = operator.itemgetter(position)
+    if position in (RESEARCH_ORGS, CONCEPT_TEXTS):
         return lambda pub: any(map(test, get(pub)))
 
     def scalar(pub: tuple) -> bool:
@@ -537,14 +527,15 @@ class QueryFolder:
 
 
 def load_query_folder(directory: str | Path) -> QueryFolder:
-    """Load every `*.nql` file (sorted by name); parse failures are reported
-    and excluded. Raises if the directory is missing or nothing parses."""
+    """Load every regular `*.nql` file (sorted by name); parse failures are
+    reported and excluded. Raises if the directory is missing or nothing
+    parses."""
     folder = Path(directory)
     if not folder.is_dir():
         raise FileNotFoundError(f"query directory not found: {folder}")
     queries: list[SubsetQuery] = []
     failures: list[QueryLoadFailure] = []
-    for path in sorted(folder.glob(f"*{QUERY_FILE_SUFFIX}")):
+    for path in sorted(p for p in folder.glob(f"*{QUERY_FILE_SUFFIX}") if p.is_file()):
         try:
             queries.append(parse_query(read_text(path), name=path.stem))
         except (QueryError, CorpusError) as exc:

@@ -1,8 +1,8 @@
 """Read-only static HTTP server for generated bundles.
 
 Serves GET/HEAD under one directory, 404s anything that normalizes
-outside it (directory traversal, symlink escapes), maps ``/`` to
-``index.html``, and logs one line per request. Never writes to disk.
+outside it (directory traversal, symlink escapes), maps ``/`` to the
+bundle's index page, and logs one line per request. Never writes to disk.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
 
-from bibnet.vos import MANIFEST_FILE
+from bibnet.vos import INDEX_FILE, MANIFEST_FILE
 
 CONTENT_TYPES = {
     ".html": "text/html; charset=utf-8",
@@ -37,7 +37,7 @@ def resolve_request_path(root: Path, raw_path: str) -> Path | None:
     if any(seg == ".." for seg in segments):
         return None
     if not segments:
-        segments = ["index.html"]
+        segments = [INDEX_FILE]
     try:
         root_resolved = root.resolve(strict=True)
         candidate = root_resolved.joinpath(*segments).resolve()

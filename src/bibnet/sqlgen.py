@@ -2,20 +2,22 @@
 
 The organisation collaboration template is kept byte-exact; rendering only
 splices the user's subquery into the ``{user-provided-subquery}`` slot and
-rewrites the dataset prefix when overridden. ``@max_nodes`` and
-``@min_edge_weight`` stay as named query parameters, with their values
-returned alongside the SQL.
+rewrites the dataset prefix when overridden. Each ``@name`` the template
+uses stays a named query parameter; the value of each such
+:class:`~bibnet.network.NetworkParams` field is returned alongside the SQL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
-from bibnet.network import CONCEPT, ORGANISATION, NetworkParams, _check_kind
+from bibnet.network import CONCEPT, ORGANISATION, NetworkParams, check_kind
 
 DEFAULT_DATASET_PREFIX = "covid-19-dimensions-ai.data"
 SUBQUERY_PLACEHOLDER = "{user-provided-subquery}"
+_NAMED_PARAM = re.compile(r"@(\w+)")  # a BigQuery named query parameter
 
 _TEMPLATE_FILES = {
     ORGANISATION: "org_collab.sql",
@@ -38,7 +40,7 @@ class RenderedSql:
 
 
 def load_template(kind: str) -> str:
-    _check_kind(kind)
+    check_kind(kind)
     return (
         resources.files("bibnet.templates").joinpath(_TEMPLATE_FILES[kind]).read_text("utf-8")
     )
@@ -51,13 +53,12 @@ def render_sql(req: SqlRequest) -> RenderedSql:
     if not req.dataset_prefix.strip():
         raise ValueError("dataset prefix must be non-empty")
     template = load_template(req.kind)
+    # the template's own parameters, read before the user's SQL is spliced in
+    used = set(_NAMED_PARAM.findall(template))
+    named_params = {
+        f.name: getattr(req.params, f.name) for f in fields(NetworkParams) if f.name in used
+    }
     # prefix rewrite happens before the splice so user SQL is never touched
     sql = template.replace(DEFAULT_DATASET_PREFIX, req.dataset_prefix)
     sql = sql.replace(SUBQUERY_PLACEHOLDER, req.user_subquery)
-    named_params = {
-        "max_nodes": req.params.max_nodes,
-        "min_edge_weight": req.params.min_edge_weight,
-    }
-    if req.kind == CONCEPT:
-        named_params["concept_min_relevance"] = req.params.concept_min_relevance
     return RenderedSql(sql=sql, named_params=named_params)

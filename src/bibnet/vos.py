@@ -243,7 +243,7 @@ class BundleManifest:
     collisions: list[dict]
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: Path, text: str) -> None:
     # a new file made with mode 0666 takes the umask's mode, as open()'s
     # files do; one already under this name was left by a crashed run that
     # had this process id
@@ -313,7 +313,7 @@ def write_bundle(
                 collisions.append({"requested": f"{slug}__{suffix}.json", "assigned": name})
             assigned.add(name)
             rel_path = f"{NETWORK_DIR}/{name}"
-            _atomic_write_text(out / NETWORK_DIR / name, dumps_document(doc))
+            atomic_write_text(out / NETWORK_DIR / name, dumps_document(doc))
             entries.append(
                 {
                     "file": rel_path,
@@ -330,14 +330,14 @@ def write_bundle(
             networks=entries,
             collisions=collisions,
         )
-        _atomic_write_text(
+        atomic_write_text(
             out / MANIFEST_FILE,
             json.dumps(asdict(manifest), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         )
         for path in (out / NETWORK_DIR).glob("*.json"):
             if path.name not in assigned:
                 path.unlink()
-        _atomic_write_text(out / INDEX_FILE, render_index(entries))
+        atomic_write_text(out / INDEX_FILE, render_index(entries))
     return manifest
 
 

@@ -9,8 +9,9 @@ import pytest
 
 from bibnet.cli import main
 from bibnet.corpus import EmptyCorpusError
-from bibnet.network import ORGANISATION, NetworkParams
+from bibnet.network import CONCEPT, KIND_SPELLINGS, ORGANISATION, NetworkParams
 from bibnet.pipeline import RunConfig, run_all
+from bibnet.sqlgen import SqlRequest, render_sql
 from bibnet.vos import validate_bundle
 
 TODAY = date(2022, 7, 1)
@@ -171,6 +172,8 @@ def test_run_config_validates_kinds(tmp_path):
         make_config(tmp_path, kinds=())
     with pytest.raises(ValueError):
         make_config(tmp_path, kinds=("journal",))
+    with pytest.raises(ValueError, match="'organisation' is given twice"):
+        make_config(tmp_path, kinds=(ORGANISATION, CONCEPT, ORGANISATION))
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -335,6 +338,42 @@ def test_cli_sql_params_out_file(tmp_path, capsys):
         "min_edge_weight": 2,
         "concept_min_relevance": 0.5,
     }
+
+
+
+# every command-line spelling of a kind, and the slug its network files end in
+SPELLINGS = [
+    ("org", ORGANISATION), ("orgs", ORGANISATION), ("organisation", ORGANISATION),
+    ("organization", ORGANISATION), ("organisations", ORGANISATION),
+    ("concept", CONCEPT), ("concepts", CONCEPT),
+]
+SLUGS = {ORGANISATION: "org", CONCEPT: "concept"}
+
+
+def test_the_kind_table_holds_every_spelling():
+    table = [(s, kind) for kind, spellings in KIND_SPELLINGS.items() for s in spellings]
+    assert sorted(table) == sorted(SPELLINGS)
+    assert {kind: spellings[0] for kind, spellings in KIND_SPELLINGS.items()} == SLUGS
+
+
+@pytest.mark.parametrize("spelling, kind", SPELLINGS)
+def test_cli_takes_every_spelling_of_a_kind(tmp_path, capsys, spelling, kind):
+    out = tmp_path / "out"
+    corpus, queries = write_corpus(tmp_path), write_queries(tmp_path)
+    argv = ["build", "--corpus", str(corpus), "--queries", str(queries), "--out", str(out)]
+    assert main([*argv, "--kinds", spelling]) == 0
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert [entry["kind"] for entry in manifest["networks"]] == [kind, kind]
+    assert all(entry["file"].endswith(f"__{SLUGS[kind]}.json") for entry in manifest["networks"])
+    capsys.readouterr()
+
+    query_file = tmp_path / "sub.sql"
+    query_file.write_text("select id from somewhere", encoding="utf-8")
+    assert main(["sql", "--kind", spelling, "--query-file", str(query_file)]) == 0
+    expected = render_sql(SqlRequest(user_subquery="select id from somewhere", kind=kind))
+    captured = capsys.readouterr()
+    assert captured.out == expected.sql
+    assert json.loads(captured.err) == expected.named_params
 
 
 @pytest.mark.parametrize("command", ["ingest", "sql"])

@@ -311,6 +311,20 @@ def test_build_skips_a_query_file_that_is_not_utf8(fixtures_dir, tmp_path):
     assert report["processed"] == 3
 
 
+
+def test_build_passes_over_a_directory_named_like_a_query_file(fixtures_dir, tmp_path):
+    queries = tmp_path / "queries"
+    shutil.copytree(fixtures_dir / "queries", queries)
+    (queries / "sub.nql").mkdir()
+    out = tmp_path / "out"
+    args = ["--queries", str(queries), "--out", str(out), "--today", "2022-07-01"]
+    assert main(["build", "--corpus", str(fixtures_dir / "corpus"), *args]) == 0
+    report = json.loads((out / "run_report.json").read_text("utf-8"))
+    assert report["queries_loaded"] == 3 and report["skipped"] == []
+    assert len(report["networks"]) == 6
+    assert len(list((out / "networks").iterdir())) == 6
+
+
 # one operator each, 3000 terms: far past Python's recursion limit
 LONG_CHAINS = {
     "even_years": " OR ".join(f"year == {y}" for y in range(0, 6000, 2)),

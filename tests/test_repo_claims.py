@@ -1,9 +1,11 @@
 """Claims the repository makes about itself outside the library: the
-fixture generator reproduces ``fixtures/`` and the runtime needs nothing
-outside the standard library."""
+fixture generator reproduces ``fixtures/``, the runtime needs nothing
+outside the standard library, and no library module imports another's
+private names."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -58,3 +60,15 @@ def test_runtime_needs_only_the_standard_library(fixtures_dir, tmp_path):
     loaded = set(json.loads(child.stdout.splitlines()[-1]))
     assert not loaded & {"numpy", "jsonschema", "hypothesis"}
     assert loaded - set(sys.stdlib_module_names) == {"__main__", "bibnet"}
+
+
+def test_no_module_imports_another_modules_private_names():
+    imported = []
+    for path in sorted((REPO / "src" / "bibnet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "bibnet"
+            ):
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert imported, "the scan found no bibnet imports at all"
+    assert [entry for entry in imported if entry[2].startswith("_")] == []
