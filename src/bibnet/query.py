@@ -169,6 +169,7 @@ _TOKEN_RE = re.compile(
   | (?P<rparen>\))
   | (?P<comma>,)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<bad>[\s\S])
     """,
     re.VERBOSE,
 )
@@ -181,61 +182,43 @@ class _Token:
     kind: str
     text: str
     value: object
-    line: int
-    column: int
+    pos: int  # offset into the query text
 
 
-def _unescape(raw: str) -> str:
-    body = raw[1:-1]
-    return re.sub(r"\\(.)", r"\1", body)
+def _error(cls: type[QueryError], message: str, text: str, pos: int) -> QueryError:
+    """``cls`` for the character at offset ``pos`` of ``text``, located by its
+    1-based line and column."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return cls(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup or ""
-        raw = m.group()
-        column = pos - line_start + 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, raw, pos = m.lastgroup or "", m.group(), m.start()
         if kind in ("ws", "comment"):
-            pass
-        elif kind == "date":
+            continue
+        if kind == "bad":
+            raise _error(QuerySyntaxError, f"unexpected character {raw!r}", text, pos)
+        value: object = raw
+        if kind == "date":
             try:
                 value = parse_date(raw)
             except ValueError:
-                raise QuerySyntaxError(f"invalid date literal {raw!r}", line, column) from None
-            tokens.append(_Token("date", raw, value, line, column))
+                message = f"invalid date literal {raw!r}"
+                raise _error(QuerySyntaxError, message, text, pos) from None
         elif kind == "int":
             try:
                 value = int(raw)
             except ValueError:  # longer than int() converts
-                raise QuerySyntaxError(
-                    f"integer literal of {len(raw)} digits is too long", line, column
-                ) from None
-            tokens.append(_Token("int", raw, value, line, column))
+                message = f"integer literal of {len(raw)} digits is too long"
+                raise _error(QuerySyntaxError, message, text, pos) from None
         elif kind == "str":
-            tokens.append(_Token("str", raw, _unescape(raw), line, column))
-        elif kind == "ident":
-            upper = raw.upper()
-            if upper in _KEYWORDS:
-                tokens.append(_Token(upper, raw, upper, line, column))
-            else:
-                tokens.append(_Token("ident", raw, raw, line, column))
-        else:
-            tokens.append(_Token(kind, raw, raw, line, column))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + raw.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "<end of query>", None, line, len(text) - line_start + 1))
+            value = re.sub(r"\\(.)", r"\1", raw[1:-1])  # drop each escaping backslash
+        elif kind == "ident" and raw.upper() in _KEYWORDS:
+            kind = value = raw.upper()
+        tokens.append(_Token(kind, raw, value, pos))
+    tokens.append(_Token("eof", "<end of query>", None, len(text)))
     return tokens
 
 
@@ -245,8 +228,9 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Recursive descent; precedence OR < AND < NOT < atom."""
 
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
 
@@ -261,18 +245,16 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise QuerySyntaxError(
-                f"expected {what}, found {tok.text!r}", tok.line, tok.column
-            )
+            message = f"expected {what}, found {tok.text!r}"
+            raise _error(QuerySyntaxError, message, self.text, tok.pos)
         return self.advance()
 
     def parse_nested(self, parse: Callable[[], Expr]) -> Expr:
         """Run ``parse`` one nesting level down."""
         if self.depth == MAX_NESTING:
             tok = self.tokens[self.index - 1]  # the '(' or NOT one level too deep
-            raise QuerySyntaxError(
-                f"query nests deeper than {MAX_NESTING} levels", tok.line, tok.column
-            )
+            message = f"query nests deeper than {MAX_NESTING} levels"
+            raise _error(QuerySyntaxError, message, self.text, tok.pos)
         self.depth += 1
         expr = parse()
         self.depth -= 1
@@ -282,7 +264,8 @@ class _Parser:
         expr = self.parse_chain(0)
         tok = self.peek()
         if tok.kind != "eof":
-            raise QuerySyntaxError(f"unexpected trailing token {tok.text!r}", tok.line, tok.column)
+            message = f"unexpected trailing token {tok.text!r}"
+            raise _error(QuerySyntaxError, message, self.text, tok.pos)
         return expr
 
     def parse_chain(self, level: int) -> Expr:
@@ -317,17 +300,15 @@ class _Parser:
                 self.expect("lparen", "'(' after ids")
                 return Membership("id", self.parse_literal_list("id", "str"))
             return self.parse_field_predicate()
-        raise QuerySyntaxError(f"expected a predicate, found {tok.text!r}", tok.line, tok.column)
+        message = f"expected a predicate, found {tok.text!r}"
+        raise _error(QuerySyntaxError, message, self.text, tok.pos)
 
     def parse_field(self) -> tuple[_Token, str]:
         """Consume a field name; return its token and its literal kind."""
         tok = self.expect("ident", "a field name")
         if tok.text not in FIELDS:
-            raise UnknownFieldError(
-                f"unknown field {tok.text!r} (queryable: {', '.join(sorted(FIELDS))})",
-                tok.line,
-                tok.column,
-            )
+            message = f"unknown field {tok.text!r} (queryable: {', '.join(sorted(FIELDS))})"
+            raise _error(UnknownFieldError, message, self.text, tok.pos)
         return tok, FIELDS[tok.text][0]
 
     def parse_field_predicate(self) -> Expr:
@@ -343,23 +324,18 @@ class _Parser:
             self.advance()
             value = self.parse_literal(field, kind)
             return Comparison(field, tok.text, value)
-        raise QuerySyntaxError(
-            f"expected a comparison operator or IN after field {field!r}, found {tok.text!r}",
-            tok.line,
-            tok.column,
-        )
+        message = f"expected a comparison operator or IN after field {field!r}, found {tok.text!r}"
+        raise _error(QuerySyntaxError, message, self.text, tok.pos)
 
     def parse_literal(self, field: str, kind: str):
         tok = self.peek()
         if tok.kind not in ("str", "int", "date"):
-            raise QuerySyntaxError(f"expected a literal, found {tok.text!r}", tok.line, tok.column)
+            message = f"expected a literal, found {tok.text!r}"
+            raise _error(QuerySyntaxError, message, self.text, tok.pos)
         self.advance()
         if tok.kind != kind:
-            raise QueryTypeError(
-                f"field {field!r} expects a {kind} literal, got {tok.text}",
-                tok.line,
-                tok.column,
-            )
+            message = f"field {field!r} expects a {kind} literal, got {tok.text}"
+            raise _error(QueryTypeError, message, self.text, tok.pos)
         return tok.value
 
     def parse_literal_list(self, field: str, kind: str) -> tuple:
@@ -376,15 +352,13 @@ class _Parser:
         field_tok, kind = self.parse_field()
         field = field_tok.text
         if kind != "date":
-            raise QueryTypeError(
-                f"last_days requires a date field, {field!r} is {kind}",
-                field_tok.line,
-                field_tok.column,
-            )
+            message = f"last_days requires a date field, {field!r} is {kind}"
+            raise _error(QueryTypeError, message, self.text, field_tok.pos)
         self.expect("comma", "','")
         days_tok = self.expect("int", "a day count")
         if days_tok.value < 1:
-            raise QueryTypeError("last_days window must be >= 1", days_tok.line, days_tok.column)
+            message = "last_days window must be >= 1"
+            raise _error(QueryTypeError, message, self.text, days_tok.pos)
         self.expect("rparen", "')'")
         return DateWindow(field, int(days_tok.value))  # type: ignore[arg-type]
 
@@ -392,9 +366,8 @@ class _Parser:
 def parse_query(text: str, name: str = "query") -> SubsetQuery:
     """Parse DSL text into a well-typed AST; raises QueryError on failure."""
     if not text.strip():
-        raise QuerySyntaxError("empty query", 1, 1)
-    ast = _Parser(_tokenize(text)).parse()
-    return SubsetQuery(ast=ast, name=name)
+        raise _error(QuerySyntaxError, "empty query", text, 0)
+    return SubsetQuery(ast=_Parser(text).parse(), name=name)
 
 
 # --- Printing ----------------------------------------------------------------
@@ -527,15 +500,17 @@ class QueryFolder:
 
 
 def load_query_folder(directory: str | Path) -> QueryFolder:
-    """Load every regular `*.nql` file (sorted by name); parse failures are
-    reported and excluded. Raises if the directory is missing or nothing
-    parses."""
+    """Load every regular file whose suffix is `.nql` in any case (sorted by
+    name); parse failures are reported and excluded. Raises if the directory
+    is missing or nothing parses."""
     folder = Path(directory)
     if not folder.is_dir():
         raise FileNotFoundError(f"query directory not found: {folder}")
     queries: list[SubsetQuery] = []
     failures: list[QueryLoadFailure] = []
-    for path in sorted(p for p in folder.glob(f"*{QUERY_FILE_SUFFIX}") if p.is_file()):
+    for path in sorted(
+        p for p in folder.iterdir() if p.suffix.lower() == QUERY_FILE_SUFFIX and p.is_file()
+    ):
         try:
             queries.append(parse_query(read_text(path), name=path.stem))
         except (QueryError, CorpusError) as exc:

@@ -27,10 +27,14 @@ def resolve_request_path(root: Path, raw_path: str) -> Path | None:
     """Map a request path to a file strictly inside ``root``, else None.
 
     Rejects any path whose segments contain ``..``, backslashes, or NUL,
-    and re-checks containment after resolving symlinks.
+    and re-checks containment after resolving symlinks. A path that cannot
+    be split or resolved (a malformed authority such as ``//[x``, a segment
+    past the file-name limit, a symlink loop) is None too.
     """
-    path = urlsplit(raw_path).path
-    path = unquote(path)
+    try:
+        path = unquote(urlsplit(raw_path).path)
+    except ValueError:
+        return None
     if "\x00" in path or "\\" in path:
         return None
     segments = [seg for seg in path.split("/") if seg not in ("", ".")]
@@ -41,11 +45,11 @@ def resolve_request_path(root: Path, raw_path: str) -> Path | None:
     try:
         root_resolved = root.resolve(strict=True)
         candidate = root_resolved.joinpath(*segments).resolve()
-    except OSError:
-        return None
-    if candidate != root_resolved and root_resolved not in candidate.parents:
-        return None
-    if not candidate.is_file():
+        if candidate != root_resolved and root_resolved not in candidate.parents:
+            return None
+        if not candidate.is_file():
+            return None
+    except (OSError, RuntimeError):  # Python before 3.13 reports a symlink loop as RuntimeError
         return None
     return candidate
 

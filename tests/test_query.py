@@ -28,6 +28,7 @@ from bibnet.query import (
     Membership,
     NoRunnableQueriesError,
     NotExpr,
+    QueryError,
     QuerySyntaxError,
     QueryTypeError,
     SubsetQuery,
@@ -143,6 +144,65 @@ def test_non_ascii_digits_are_a_syntax_error(text, column):
     with pytest.raises(QuerySyntaxError, match="unexpected character") as exc_info:
         parse_query(text)
     assert (exc_info.value.line, exc_info.value.column) == (1, column)
+
+
+# One row per raise site in the tokenizer and the parser: a query over several
+# lines, the error's class and message, and the 1-based (line, column) it names.
+# A CRLF ending must name the same place as an LF ending.
+ERROR_POSITIONS = [
+    ("year >= 2020\nAND doc_type == $x", QuerySyntaxError,
+     "unexpected character '$'", 2, 17),
+    ('doc_type == "article"\nAND year == \u0662\u0660\u0662\u0661', QuerySyntaxError,
+     "unexpected character '\u0662'", 2, 13),
+    ("year >= 2020\n  AND date_inserted >= 2022-13-45", QuerySyntaxError,
+     "invalid date literal '2022-13-45'", 2, 24),
+    ('doc_type == "x"\nOR year == ' + "9" * 5000, QuerySyntaxError,
+     "integer literal of 5000 digits is too long", 2, 12),
+    ('year >= 2020 AND\nids "p1"', QuerySyntaxError,
+     "expected '(' after ids, found '\"p1\"'", 2, 5),
+    ("(year >= 2020\n  OR year == 2019\n", QuerySyntaxError,
+     "expected ')', found '<end of query>'", 3, 1),
+    ("year == 1 OR\n" + "NOT " * (MAX_NESTING + 1) + "year == 1", QuerySyntaxError,
+     f"query nests deeper than {MAX_NESTING} levels", 2, 4 * MAX_NESTING + 1),
+    ("year >= 2020\n)", QuerySyntaxError, "unexpected trailing token ')'", 2, 1),
+    ("year >= 2020 AND\n  AND year == 1", QuerySyntaxError,
+     "expected a predicate, found 'AND'", 2, 3),
+    ("\n  \n# only a comment\n", QuerySyntaxError,
+     "expected a predicate, found '<end of query>'", 4, 1),
+    ("# recent work\nyeer >= 2021", UnknownFieldError,
+     "unknown field 'yeer' (queryable: concept, date_inserted, doc_type, id, journal_title,"
+     " research_orgs, year)", 2, 1),
+    ('year >= 2020\nAND doc_type "x"', QuerySyntaxError,
+     "expected a comparison operator or IN after field 'doc_type', found '\"x\"'", 2, 14),
+    ("year >= 2020 AND\ndoc_type == ,", QuerySyntaxError, "expected a literal, found ','", 2, 13),
+    ('year >= 2020 AND\n journal_title IN ("a",\n 5)', QueryTypeError,
+     "field 'journal_title' expects a str literal, got 5", 3, 2),
+    ("year >= 2020 AND\nlast_days(year, 3)", QueryTypeError,
+     "last_days requires a date field, 'year' is int", 2, 11),
+    ("year >= 2020 AND\nlast_days(date_inserted, 0)", QueryTypeError,
+     "last_days window must be >= 1", 2, 26),
+    ("\n  \n", QuerySyntaxError, "empty query", 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "text, cls, message, line, column",
+    [
+        pytest.param(text.replace("\n", newline), *rest, id=f"{i}-{ending}")
+        for i, (text, *rest) in enumerate(ERROR_POSITIONS)
+        for ending, newline in (("lf", "\n"), ("crlf", "\r\n"))
+    ]
+    # a backslash before an LF escapes nothing, so the string never closes
+    + [pytest.param('doc_type == "a\\\nb"', QuerySyntaxError, "unexpected character '\"'", 1, 13,
+                    id="backslash-newline-lf")],
+)
+def test_error_names_its_class_message_line_and_column(text, cls, message, line, column):
+    with pytest.raises(QueryError) as exc_info:
+        parse_query(text)
+    error = exc_info.value
+    assert type(error) is cls
+    assert str(error) == f"{message} (line {line}, column {column})"
+    assert (error.line, error.column) == (line, column)
 
 
 def test_a_chain_of_one_operator_is_one_node_printed_flat():
@@ -323,6 +383,20 @@ def test_build_passes_over_a_directory_named_like_a_query_file(fixtures_dir, tmp
     assert report["queries_loaded"] == 3 and report["skipped"] == []
     assert len(report["networks"]) == 6
     assert len(list((out / "networks").iterdir())) == 6
+
+
+def test_build_reads_a_query_file_whose_suffix_is_upper_case(fixtures_dir, tmp_path):
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    shutil.copy(fixtures_dir / "queries" / "recent.nql", queries)
+    shutil.copy(fixtures_dir / "queries" / "preprints.nql", queries / "PREPRINTS.NQL")
+    out = tmp_path / "out"
+    args = ["--queries", str(queries), "--out", str(out), "--today", "2022-07-01"]
+    assert main(["build", "--corpus", str(fixtures_dir / "corpus"), *args]) == 0
+    report = json.loads((out / "run_report.json").read_text("utf-8"))
+    assert report["processed"] == 2 and report["skipped"] == []
+    assert sorted({network["query"] for network in report["networks"]}) == ["PREPRINTS", "recent"]
+    assert len(report["networks"]) == 4
 
 
 # one operator each, 3000 terms: far past Python's recursion limit

@@ -87,6 +87,19 @@ def test_directory_paths_are_not_served(bundle_dir):
     assert resolve_request_path(bundle_dir, "/networks/") is None
 
 
+def test_unresolvable_paths_resolve_to_none(bundle_dir):
+    (bundle_dir / "loop_a").symlink_to(bundle_dir / "loop_b")
+    (bundle_dir / "loop_b").symlink_to(bundle_dir / "loop_a")
+    for path in (
+        "/" + "a" * 300,  # a segment past the file-name limit
+        "/networks/" + "a" * 300,
+        "/loop_a",  # a symlink loop
+        "/loop_a/index.html",
+        "//[x",  # urlsplit rejects the authority as an unclosed IPv6 host
+    ):
+        assert resolve_request_path(bundle_dir, path) is None
+
+
 @given(
     st.lists(
         st.sampled_from(["..", ".", "", "networks", "index.html", "%2e%2e", "a", "etc", "~"]),
@@ -136,6 +149,14 @@ def test_missing_file_is_404(bundle_dir):
     with running_server(bundle_dir) as port:
         status, _, _ = raw_get(port, "/networks/nope.json")
     assert status == 404
+
+
+def test_overlong_path_segment_is_404(bundle_dir):
+    with running_server(bundle_dir) as port:
+        status, _, body = raw_get(port, "/" + "a" * 300)
+        assert (status, body) == (404, b"not found\n")
+        status, _, _ = raw_get(port, "/")
+        assert status == 200
 
 
 def test_head_sends_headers_without_body(bundle_dir):
