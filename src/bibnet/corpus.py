@@ -179,12 +179,16 @@ class _Shared:
     relevances repeat across records; storing each once is most of the
     corpus's memory saving. Each kind has its own table, so ``1``, ``1.0`` and ``True`` never
     share a slot, and only values that passed validation are stored.
+    ``concepts`` maps a raw concept text, as the record spells it, to its
+    stored normalised text, so a repeated mention is neither trimmed nor
+    lowered again.
     """
 
-    __slots__ = ("text", "years", "dates", "relevances")
+    __slots__ = ("text", "concepts", "years", "dates", "relevances")
 
     def __init__(self) -> None:
         self.text: dict[str, str] = {}
+        self.concepts: dict[str, str] = {}
         self.years: dict[int, int] = {}
         self.dates: dict[str, date] = {}
         self.relevances: dict[float, float] = {}
@@ -260,6 +264,18 @@ def _coerce_relevance(value, relevances: dict[float, float]) -> float:
     return relevances.setdefault(rel, rel) if rel else rel
 
 
+def _coerce_concept_text(value, shared: _Shared) -> str:
+    if not isinstance(value, str):
+        raise _RecordError(f"concept text must be a string, got {value!r}")
+    text = value.strip().lower()
+    if not text:
+        raise _RecordError("concept text is empty after trimming")
+    text = shared.text.setdefault(text, text)
+    if type(value) is str:  # keyed by the stored text when the record spells it so: one copy
+        shared.concepts[text if value == text else value] = text
+    return text
+
+
 def _coerce_concepts(value, shared: _Shared) -> tuple[tuple[str, ...], tuple[float, ...]]:
     """The concept texts and, in parallel, their relevances."""
     if value is None:
@@ -268,17 +284,22 @@ def _coerce_concepts(value, shared: _Shared) -> tuple[tuple[str, ...], tuple[flo
         raise _RecordError(f"field 'concepts' must be a list, got {type(value).__name__}")
     texts = []
     relevances = []
+    known_texts = shared.concepts
+    known_relevances = shared.relevances
     for item in value:
         if not isinstance(item, dict):
             raise _RecordError(f"concepts entries must be objects, got {item!r}")
-        text = item.get("concept")
-        if not isinstance(text, str):
-            raise _RecordError(f"concept text must be a string, got {text!r}")
-        text = text.strip().lower()
-        if not text:
-            raise _RecordError("concept text is empty after trimming")
-        relevances.append(_coerce_relevance(item.get("relevance"), shared.relevances))
-        texts.append(shared.text.setdefault(text, text))
+        # A value seen before skips its checks. Only an exact str or a non-zero
+        # float is looked up: a str subclass, True (equal to 1.0) and -0.0
+        # (equal to 0.0, which is never stored) take the checks each time.
+        raw = item.get("concept")
+        text = known_texts.get(raw) if type(raw) is str else None
+        texts.append(_coerce_concept_text(raw, shared) if text is None else text)
+        number = item.get("relevance")
+        relevance = known_relevances.get(number) if type(number) is float and number else None
+        relevances.append(
+            _coerce_relevance(number, known_relevances) if relevance is None else relevance
+        )
     return tuple(texts), tuple(relevances)
 
 

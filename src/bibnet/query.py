@@ -163,7 +163,7 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#[^\n]*)
   | (?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2})
   | (?P<int>[0-9]+)
-  | (?P<str>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')
+  | (?P<str>"(?:[^"\\]|\\[^\r\n])*"|'(?:[^'\\]|\\[^\r\n])*')
   | (?P<op>==|!=|<=|>=|<|>)
   | (?P<lparen>\()
   | (?P<rparen>\))

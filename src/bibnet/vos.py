@@ -71,10 +71,10 @@ def to_vos_json(network: Network, generated_at: str | None = None) -> VosDocumen
     """
     node_ids = {node.key: i for i, node in enumerate(network.nodes, start=1)}
     items = [(i, node.label, node.pubs) for i, node in enumerate(network.nodes, start=1)]
-    links = []
-    for edge in network.edges:
-        ia, ib = node_ids[edge.a], node_ids[edge.b]
-        links.append((min(ia, ib), max(ia, ib), edge.weight))
+    links = [
+        (min(ia := node_ids[a], ib := node_ids[b]), max(ia, ib), weight)
+        for a, b, weight in network.edges
+    ]
     meta = {
         "query_name": network.name,
         "kind": network.kind,

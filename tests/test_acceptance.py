@@ -22,6 +22,7 @@ import pytest
 from bibnet.cli import main
 from bibnet.corpus import Organisation, Publication, build_corpus
 from bibnet.network import CONCEPT, KINDS, ORGANISATION, NetworkParams, build_network
+from bibnet.network import _bitsets_cost_less as bitsets_cost_less
 from bibnet.pipeline import RunConfig, run_all
 from bibnet.query import BoolExpr, NotExpr, SubsetQuery, eval_query, parse_query, print_query
 from bibnet.server import make_server
@@ -59,9 +60,16 @@ def network_as_sets(network):
 
 
 @criterion(1, "oracle equivalence over randomized corpora")
-def test_oracle_equivalence_1000_corpora():
+def test_oracle_equivalence_1000_corpora(monkeypatch):
     rng = random.Random(0xA11CE)
     trials = 1000
+    picked = []  # per network: did the bitsets' pair counter run?
+
+    def recorded(entity_keys, keys):
+        picked.append(bitsets_cost_less(entity_keys, keys))
+        return picked[-1]
+
+    monkeypatch.setattr("bibnet.network._bitsets_cost_less", recorded)
     started = time.perf_counter()
     for trial in range(trials):
         roll = rng.random()
@@ -82,8 +90,12 @@ def test_oracle_equivalence_1000_corpora():
             )
             assert built == oracle  # stricter: identical canonical ordering too
     elapsed = time.perf_counter() - started
-    print(f"  {trials} corpora x {len(KINDS)} kinds in {elapsed:.1f}s")
+    print(
+        f"  {trials} corpora x {len(KINDS)} kinds in {elapsed:.1f}s, "
+        f"{sum(picked)} of {len(picked)} networks by bitsets"
+    )
     assert elapsed < 60.0, f"oracle suite took {elapsed:.1f}s (budget 60s)"
+    assert 0 < sum(picked) < len(picked), "the sweep takes one pair counter only"
 
 
 @criterion(2, "collaboration SQL template fidelity")

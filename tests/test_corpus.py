@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import random
 import shutil
 from datetime import date
@@ -22,6 +23,7 @@ from bibnet.corpus import (
     DuplicateIdError,
     EmptyCorpusError,
     Publication,
+    _Shared,
     corpus_stats,
     ingest,
     parse_publication,
@@ -182,6 +184,50 @@ def test_equal_values_of_different_types_are_not_shared(tmp_path):
     pub = corpus.publications["pub.b"]
     assert type(pub[YEAR]) is int
     assert str(pub[RELEVANCES][0]) == "-0.0"
+
+
+class Relabelled(str):
+    """A concept text whose own strip() the checks call, and a lookup would skip."""
+
+    def strip(self, chars=None):
+        return "Relabelled"
+
+
+# Concept mentions, each (text, relevance), and the row's (texts, relevances)
+# or its skip reason, as the checks give them before any value is known.
+CONCEPT_MEMO_ROWS = [
+    ("trimmed-then-plain", [(" Masks ", 0.5), ("masks", 0.5)], (("masks", "masks"), (0.5, 0.5))),
+    ("int-relevance", [("masks", 1)], (("masks",), (1.0,))),
+    ("bool-relevance", [("masks", True)], "concept relevance must be a number, got True"),
+    ("negative-zero", [("masks", -0.0)], (("masks",), (-0.0,))),
+    ("nan", [("masks", math.nan)], "concept relevance nan outside [0, 1]"),
+    ("str-subclass", [(Relabelled("masks"), 0.5)], (("relabelled",), (0.5,))),
+    ("empty-after-trimming", [(" \t ", 0.5)], "concept text is empty after trimming"),
+]
+
+
+@pytest.mark.parametrize(
+    "mentions, expected", [pytest.param(m, e, id=name) for name, m, e in CONCEPT_MEMO_ROWS]
+)
+def test_known_concept_values_parse_as_the_checks_do(mentions, expected):
+    shared = _Shared()
+    # "masks", 0.5 and 1.0 are known before the row; True == 1.0 and hashes alike
+    parse_publication(
+        {"id": "pub.0", "concepts": [{"concept": "masks", "relevance": r} for r in (0.5, 1.0)]},
+        shared,
+    )
+    record = {"id": "pub.1", "concepts": [{"concept": t, "relevance": r} for t, r in mentions]}
+    for _ in range(2):  # the second parse meets the row's own values known as well
+        try:
+            row = parse_publication(record, shared)
+        except ValueError as exc:
+            assert str(exc) == expected
+            continue
+        # repr tells -0.0 from 0.0 and 1 from 1.0
+        assert repr((row[CONCEPT_TEXTS], row[RELEVANCES])) == repr(expected)
+        assert all(text is shared.text[text] for text in row[CONCEPT_TEXTS])
+    if expected == (("masks",), (-0.0,)):
+        assert math.copysign(1.0, row[RELEVANCES][0]) == -1.0
 
 
 @pytest.fixture

@@ -23,7 +23,13 @@ from bibnet.network import (
     CONCEPT,
     KINDS,
     ORGANISATION,
+    Edge,
     NetworkParams,
+    _bitsets_cost_less,
+    _pairs_by_bitsets,
+    _pairs_by_enumeration,
+    _rank,
+    _subset_entities,
     build_network,
     top_nodes,
 )
@@ -192,6 +198,76 @@ def test_concept_labels_are_the_concept_text():
     corpus = concept_corpus()
     network = build_network(corpus, all_ids(corpus), CONCEPT, NetworkParams(min_edge_weight=1))
     assert all(n.label == n.key for n in network.nodes)
+
+
+# --- pair counters --------------------------------------------------------------
+
+PAIR_COUNTERS = [_pairs_by_enumeration, _pairs_by_bitsets]
+
+
+def counted_pairs(count_pairs, corpus, subset, kind, params):
+    """The ``(a, b, weight)`` rows ``count_pairs`` gives for the network's nodes."""
+    entity_keys = _subset_entities(corpus, subset, kind, params)
+    keys = sorted((n.key for n in _rank(corpus, entity_keys, kind, params)), reverse=True)
+    return count_pairs(entity_keys, keys, params.min_edge_weight)
+
+
+def org_corpus(*org_lists):
+    orgs = [Organisation(id=k, name=f"Org {k}") for k in "ABCDE"]
+    pubs = [Publication(id=f"p{i}", research_orgs=tuple(o)) for i, o in enumerate(org_lists)]
+    return build_corpus(pubs, orgs)
+
+
+# (organisations of each publication, max_nodes, min_edge_weight, the rows by hand)
+HANDMADE_PAIRS = {
+    # A counts 3 and B..E 1 each: the tie at the cap keeps B and C, so AD and AE go
+    "tie-at-the-cap": (["ABC", "AD", "AE"], 3, 1, [("B", "A", 1), ("C", "A", 1), ("C", "B", 1)]),
+    "min-weight-1": (["ABC", "AB", "BC", "AB"], 10, 1, [("B", "A", 3), ("C", "A", 1), ("C", "B", 2)]),
+    "min-weight-2": (["ABC", "AB", "BC", "AB"], 10, 2, [("B", "A", 3), ("C", "B", 2)]),
+    "min-weight-3": (["ABC", "AB", "BC", "AB"], 10, 3, [("B", "A", 3)]),
+    "single-entity-publications": (["A", "B", "A", "C"], 10, 1, []),
+    "empty-subset": ([], 10, 1, []),
+    "one-lists-every-node": (
+        ["ABCD", "A", "B"], 10, 1,
+        [("B", "A", 1), ("C", "A", 1), ("C", "B", 1), ("D", "A", 1), ("D", "B", 1), ("D", "C", 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("count_pairs", PAIR_COUNTERS)
+@pytest.mark.parametrize("case", HANDMADE_PAIRS)
+def test_pair_counter_handmade(count_pairs, case):
+    org_lists, max_nodes, min_edge_weight, rows = HANDMADE_PAIRS[case]
+    corpus = org_corpus(*org_lists, "E")  # a never-empty corpus
+    subset = make_subset(f"p{i}" for i in range(len(org_lists)))
+    params = NetworkParams(max_nodes=max_nodes, min_edge_weight=min_edge_weight)
+    assert counted_pairs(count_pairs, corpus, subset, ORGANISATION, params) == rows
+    assert rows == [tuple(e) for e in brute_force_network(corpus, subset, ORGANISATION, params).edges]
+
+
+@pytest.mark.parametrize("count_pairs", PAIR_COUNTERS)
+def test_pair_counter_matches_the_oracle_whichever_path_is_picked(count_pairs):
+    # corpora shaped as the acceptance suite's 1,000-corpus sweep draws them
+    rng = random.Random(20)
+    picked = set()
+    for _ in range(150):
+        corpus = random_corpus(rng, n_pubs=rng.randint(1, 150), max_orgs=40, max_concepts=60)
+        subset = random_subset(rng, corpus)
+        params = random_params(rng)
+        for kind in KINDS:
+            oracle = brute_force_network(corpus, subset, kind, params)
+            entity_keys = _subset_entities(corpus, subset, kind, params)
+            keys = sorted((n.key for n in oracle.nodes), reverse=True)
+            picked.add(_bitsets_cost_less(entity_keys, keys))
+            rows = count_pairs(entity_keys, keys, params.min_edge_weight)
+            assert rows == [tuple(e) for e in oracle.edges]
+    assert picked == {False, True}
+
+
+def test_edges_are_tuples_built_by_keyword_or_position():
+    edge = Edge(a="B", b="A", weight=2)
+    assert edge == Edge("B", "A", 2) == ("B", "A", 2)
+    assert (edge.a, edge.b, edge.weight) == ("B", "A", 2)
 
 
 # --- parameter validation -------------------------------------------------------

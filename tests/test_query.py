@@ -182,6 +182,9 @@ ERROR_POSITIONS = [
     ("year >= 2020 AND\nlast_days(date_inserted, 0)", QueryTypeError,
      "last_days window must be >= 1", 2, 26),
     ("\n  \n", QuerySyntaxError, "empty query", 1, 1),
+    # a backslash escapes no line ending, CRLF or lone CR, so the string never closes
+    ('doc_type == "a\\\r\nb"', QuerySyntaxError, "unexpected character '\"'", 1, 13),
+    ('doc_type == "a\\\rb"', QuerySyntaxError, "unexpected character '\"'", 1, 13),
 ]
 
 
