@@ -22,7 +22,6 @@ from pathlib import Path
 
 from bibnet.corpus import CorpusError, corpus_stats, ingest, parse_date, read_text
 from bibnet.network import KIND_SLUGS, KINDS, NetworkParams, normalize_kind
-from bibnet.pipeline import RunConfig, run_all
 from bibnet.sqlgen import DEFAULT_DATASET_PREFIX, SqlRequest, render_sql
 from bibnet.version import ENGINE_VERSION
 from bibnet.vos import BundleLockError, validate_bundle
@@ -147,6 +146,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from bibnet.pipeline import RunConfig, run_all
+
     config = RunConfig(
         corpus_paths=tuple(args.corpus),
         query_dir=args.queries,
@@ -184,7 +185,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from bibnet.server import serve  # here, so other commands skip importing http.server
+    from bibnet.server import serve
 
     port = args.port
     if port is None:
@@ -211,6 +212,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# A handler imports what only it runs: build loads bibnet.pipeline (and with it
+# bibnet.query), serve loads bibnet.server (and http.server); no other command does.
 _COMMANDS = {
     "ingest": cmd_ingest,
     "build": cmd_build,

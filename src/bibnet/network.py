@@ -33,10 +33,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from bibnet.corpus import CONCEPT_TEXTS, RELEVANCES, RESEARCH_ORGS, Corpus
-from bibnet.query import SubsetResult
+
+if TYPE_CHECKING:  # annotations only: building a network needs no query language
+    from bibnet.query import SubsetResult
 
 ORGANISATION = "organisation"
 CONCEPT = "concept"

@@ -22,6 +22,8 @@ import html
 import json
 import os
 import re
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
@@ -259,27 +261,22 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-class _BundleLock:
-    def __init__(self, out_dir: Path) -> None:
-        self.path = out_dir / LOCK_FILE
-
-    def __enter__(self) -> "_BundleLock":
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise BundleLockError(
-                f"bundle directory is locked by another writer ({self.path}); "
-                "remove the lock file if no other run is active"
-            ) from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+@contextmanager
+def _bundle_lock(out_dir: Path) -> Iterator[None]:
+    path = out_dir / LOCK_FILE
+    try:
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        raise BundleLockError(
+            f"bundle directory is locked by another writer ({path}); "
+            "remove the lock file if no other run is active"
+        ) from None
+    with os.fdopen(fd, "w") as fh:
+        fh.write(str(os.getpid()))
+    try:
+        yield
+    finally:
+        path.unlink(missing_ok=True)
 
 
 def write_bundle(
@@ -297,7 +294,7 @@ def write_bundle(
     (out / NETWORK_DIR).mkdir(exist_ok=True)
     stamp = generated_at if generated_at is not None else now_stamp()
 
-    with _BundleLock(out):
+    with _bundle_lock(out):
         assigned: set[str] = set()
         entries: list[dict] = []
         collisions: list[dict] = []

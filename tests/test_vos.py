@@ -423,6 +423,17 @@ def test_validate_bundle_without_manifest(tmp_path):
         ("manifest.json", "{}", "manifest.json is not an object with a 'networks' list"),
         ("networks/demo__org.json", b"\xff\xfe{}", "demo__org.json: not valid UTF-8 JSON"),
         ("manifest.json", b"\xff\xfe{}", "manifest.json is not valid UTF-8 JSON"),
+        # bundle files are read as plain UTF-8, so a byte order mark is a problem
+        (
+            "networks/demo__org.json",
+            b"\xef\xbb\xbf{}",
+            "networks/demo__org.json: not valid UTF-8 JSON: Unexpected UTF-8 BOM",
+        ),
+        (
+            "manifest.json",
+            b"\xef\xbb\xbf{}",
+            "manifest.json is not valid UTF-8 JSON: Unexpected UTF-8 BOM",
+        ),
         (
             "manifest.json",
             '{"networks": [{"file": "../elsewhere/x.json"}]}',
