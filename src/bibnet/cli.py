@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
 from datetime import date
 from pathlib import Path
 
@@ -66,13 +65,13 @@ _PARAM_HELP = {
 
 
 def _add_params_flags(parser: argparse.ArgumentParser) -> None:
-    for f in fields(NetworkParams):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, type=type(f.default), default=f.default, help=_PARAM_HELP[f.name])
+    for name, default in NetworkParams._field_defaults.items():
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, type=type(default), default=default, help=_PARAM_HELP[name])
 
 
 def _params_from_args(args: argparse.Namespace) -> NetworkParams:
-    return NetworkParams(**{f.name: getattr(args, f.name) for f in fields(NetworkParams)})
+    return NetworkParams._make(getattr(args, name) for name in NetworkParams._fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +132,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     corpus, report = ingest(args.corpus)
     stats = corpus_stats(corpus)
     if args.report:
-        payload = {"ingest": asdict(report), "stats": asdict(stats)}
+        payload = {"ingest": vars(report), "stats": stats._asdict()}
         Path(args.report).write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )

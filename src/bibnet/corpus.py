@@ -34,11 +34,10 @@ import csv
 import gc
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import date
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # int() alone would also take '+2021', '2_021' and non-ASCII digits
@@ -104,15 +103,13 @@ def Publication(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Organisation:
+class Organisation(NamedTuple):
     id: str
     name: str
     country_code: str | None = None
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """Immutable snapshot of ingested records, safe to share across threads.
 
     Every org id referenced by a publication either resolves in
@@ -125,15 +122,17 @@ class Corpus:
     unresolved_orgs: frozenset[str]
 
 
-@dataclass
 class IngestReport:
-    files: list[str] = field(default_factory=list)
-    rows_total: int = 0
-    publications: int = 0
-    organisations: int = 0
-    skipped: int = 0
-    skip_reasons: list[str] = field(default_factory=list)
-    unresolved_org_count: int = 0
+    """Counts of one ingest, kept as it runs; ``vars(report)`` is its JSON form."""
+
+    def __init__(self, files: Iterable[str] = ()) -> None:
+        self.files = list(files)
+        self.rows_total = 0
+        self.publications = 0
+        self.organisations = 0
+        self.skipped = 0
+        self.skip_reasons: list[str] = []
+        self.unresolved_org_count = 0
 
     def record_skip(self, source: str, line_no: int, reason: str) -> None:
         self.skipped += 1
@@ -154,8 +153,7 @@ class IngestReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True, slots=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     publications: int
     organisations: int
     concepts: int

@@ -31,7 +31,6 @@ counts at the cap are cut in no fixed order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -64,13 +63,17 @@ DEFAULT_CONCEPT_MIN_RELEVANCE = 0.5
 _WORDS_PER_ENUMERATED_PAIR = 16
 
 
-@dataclass(frozen=True, slots=True)
-class NetworkParams:
+class _NetworkParams(NamedTuple):
     max_nodes: int = DEFAULT_MAX_NODES
     min_edge_weight: int = DEFAULT_MIN_EDGE_WEIGHT
     concept_min_relevance: float = DEFAULT_CONCEPT_MIN_RELEVANCE
 
-    def __post_init__(self) -> None:
+
+class NetworkParams(_NetworkParams):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> NetworkParams:
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_nodes < 1:
             raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
         if self.min_edge_weight < 1:
@@ -79,10 +82,12 @@ class NetworkParams:
             raise ValueError(
                 f"concept_min_relevance must be in [0, 1], got {self.concept_min_relevance}"
             )
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls _make: check it too
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(NamedTuple):
     key: str
     label: str
     pubs: int
@@ -94,8 +99,7 @@ class Edge(NamedTuple):
     weight: int
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(NamedTuple):
     kind: str
     name: str
     params: NetworkParams

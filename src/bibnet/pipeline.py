@@ -8,9 +8,9 @@ query and is written as ``run_report.json`` inside the output bundle.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 from bibnet.corpus import IngestReport, StatsReport, corpus_stats, ingest
 from bibnet.network import KINDS, NetworkParams, build_network, check_kind
@@ -21,45 +21,50 @@ from bibnet.vos import atomic_write_text, now_stamp, to_vos_json, write_bundle
 RUN_REPORT_FILE = "run_report.json"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfig(NamedTuple):
     corpus_paths: tuple[str, ...]
     query_dir: str
     out_dir: str
     kinds: tuple[str, ...] = KINDS
-    params: NetworkParams = field(default_factory=NetworkParams)
+    params: NetworkParams = NetworkParams()
     today: date | None = None
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.kinds:
             raise ValueError("at least one network kind is required")
         for n, kind in enumerate(self.kinds):
             check_kind(kind)
             if kind in self.kinds[:n]:
                 raise ValueError(f"network kind {kind!r} is given twice")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls _make: check it too
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     generated_at: str
     today: str
     params: NetworkParams
     corpus: StatsReport
     ingest: IngestReport
-    queries_loaded: int = 0
-    processed: int = 0
-    skipped: list[dict] = field(default_factory=list)
-    networks: list[dict] = field(default_factory=list)
-
-    @property
-    def networks_produced(self) -> int:
-        return len(self.networks)
+    queries_loaded: int
+    processed: int
+    skipped: list[dict]
+    networks: list[dict]
+    networks_produced: int
 
     def to_dict(self) -> dict:
         return {
-            **asdict(self),
+            **self._asdict(),
+            "params": self.params._asdict(),
+            "corpus": self.corpus._asdict(),
+            "ingest": vars(self.ingest),
             "engine_version": ENGINE_VERSION,
-            "networks_produced": self.networks_produced,
         }
 
     def summary(self) -> str:
@@ -85,16 +90,7 @@ def run_all(config: RunConfig) -> RunReport:
     today = config.today if config.today is not None else date.today()
     stamp = now_stamp()
 
-    report = RunReport(
-        generated_at=stamp,
-        today=today.isoformat(),
-        params=config.params,
-        corpus=corpus_stats(corpus),
-        ingest=ingest_report,
-        queries_loaded=len(folder.queries) + len(folder.failures),
-        skipped=[{"query": failure.name, "reason": failure.error} for failure in folder.failures],
-    )
-
+    skipped = [{"query": failure.name, "reason": failure.error} for failure in folder.failures]
     documents = []
     for query in folder.queries:
         try:
@@ -104,15 +100,25 @@ def run_all(config: RunConfig) -> RunReport:
                 for kind in config.kinds
             ]
         except Exception as exc:  # per-query isolation
-            report.skipped.append({"query": query.name, "reason": f"{type(exc).__name__}: {exc}"})
+            skipped.append({"query": query.name, "reason": f"{type(exc).__name__}: {exc}"})
             continue
         documents.extend(query_docs)
-        report.processed += 1
 
     manifest = write_bundle(documents, config.out_dir, generated_at=stamp)
-    report.networks = [
-        {**entry, "empty_subset": entry["subset_size"] == 0} for entry in manifest.networks
-    ]
+    report = RunReport(
+        generated_at=stamp,
+        today=today.isoformat(),
+        params=config.params,
+        corpus=corpus_stats(corpus),
+        ingest=ingest_report,
+        queries_loaded=len(folder.queries) + len(folder.failures),
+        processed=len(folder.queries) + len(folder.failures) - len(skipped),
+        skipped=skipped,
+        networks=[
+            {**entry, "empty_subset": entry["subset_size"] == 0} for entry in manifest.networks
+        ],
+        networks_produced=len(manifest.networks),
+    )
     atomic_write_text(
         Path(config.out_dir) / RUN_REPORT_FILE,
         json.dumps(report.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",

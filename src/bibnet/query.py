@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from datetime import date
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple, Union
 
 from bibnet.corpus import (
     CONCEPT_TEXTS,
@@ -95,62 +94,64 @@ class NoRunnableQueriesError(ValueError):
 # --- AST -------------------------------------------------------------------
 
 
-class Expr:
-    __slots__ = ()
-
-
 # the binary operators, loosest first; each chain of one operator is one node
 _BOOL_OPS = ("OR", "AND")
 
 
-@dataclass(frozen=True, slots=True)
-class BoolExpr(Expr):
-    """Two or more ``terms`` joined by one operator, ``"OR"`` or ``"AND"``."""
-
+class _BoolExpr(NamedTuple):
     op: str
     terms: tuple[Expr, ...]
 
-    def __post_init__(self) -> None:
+
+class BoolExpr(_BoolExpr):
+    """Two or more ``terms`` joined by one operator, ``"OR"`` or ``"AND"``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> BoolExpr:
+        self = super().__new__(cls, *args, **kwargs)
         if self.op not in _BOOL_OPS:
             raise ValueError(f"BoolExpr op must be one of {_BOOL_OPS}, got {self.op!r}")
         if len(self.terms) < 2:
             raise ValueError(f"BoolExpr needs two or more terms, got {len(self.terms)}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls _make: check it too
 
 
-@dataclass(frozen=True, slots=True)
-class NotExpr(Expr):
+class NotExpr(NamedTuple):
     operand: Expr
 
 
-@dataclass(frozen=True, slots=True)
-class Comparison(Expr):
+class Comparison(NamedTuple):
     field: str
     op: str
     value: str | int | date
 
 
-@dataclass(frozen=True, slots=True)
-class Membership(Expr):
+class Membership(NamedTuple):
     field: str
     values: tuple[str | int | date, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class DateWindow(Expr):
+class DateWindow(NamedTuple):
     """`last_days(field, n)`: field >= today - n days, inclusive."""
 
     field: str
     days: int
 
 
-@dataclass(frozen=True)
-class SubsetQuery:
+# Nodes are named tuples, which compare as plain tuples do, so two nodes of
+# different classes can be equal; their reprs differ.
+Expr = Union[BoolExpr, NotExpr, Comparison, Membership, DateWindow]
+
+
+class SubsetQuery(NamedTuple):
     ast: Expr
     name: str
 
 
-@dataclass(frozen=True)
-class SubsetResult:
+class SubsetResult(NamedTuple):
     ids: frozenset[str]
     query_name: str
 
@@ -177,8 +178,7 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = ("AND", "OR", "NOT", "IN")
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     value: object
@@ -487,14 +487,12 @@ def eval_query(query: SubsetQuery, corpus: Corpus, today: date) -> SubsetResult:
 # --- Query folders -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QueryLoadFailure:
+class QueryLoadFailure(NamedTuple):
     name: str
     error: str
 
 
-@dataclass(frozen=True)
-class QueryFolder:
+class QueryFolder(NamedTuple):
     queries: list[SubsetQuery]
     failures: list[QueryLoadFailure]
 

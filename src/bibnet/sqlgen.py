@@ -10,8 +10,8 @@ uses stays a named query parameter; the value of each such
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from importlib import resources
+from typing import NamedTuple
 
 from bibnet.network import CONCEPT, ORGANISATION, NetworkParams, check_kind
 
@@ -25,16 +25,14 @@ _TEMPLATE_FILES = {
 }
 
 
-@dataclass(frozen=True)
-class SqlRequest:
+class SqlRequest(NamedTuple):
     user_subquery: str
     kind: str
-    params: NetworkParams = field(default_factory=NetworkParams)
+    params: NetworkParams = NetworkParams()
     dataset_prefix: str = DEFAULT_DATASET_PREFIX
 
 
-@dataclass(frozen=True)
-class RenderedSql:
+class RenderedSql(NamedTuple):
     sql: str
     named_params: dict
 
@@ -55,9 +53,7 @@ def render_sql(req: SqlRequest) -> RenderedSql:
     template = load_template(req.kind)
     # the template's own parameters, read before the user's SQL is spliced in
     used = set(_NAMED_PARAM.findall(template))
-    named_params = {
-        f.name: getattr(req.params, f.name) for f in fields(NetworkParams) if f.name in used
-    }
+    named_params = {name: value for name, value in req.params._asdict().items() if name in used}
     # prefix rewrite happens before the splice so user SQL is never touched
     sql = template.replace(DEFAULT_DATASET_PREFIX, req.dataset_prefix)
     sql = sql.replace(SUBQUERY_PLACEHOLDER, req.user_subquery)

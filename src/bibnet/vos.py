@@ -24,10 +24,10 @@ import os
 import re
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import NamedTuple
 
 from bibnet.network import KINDS, Network, kind_slug
 from bibnet.version import ENGINE_VERSION
@@ -49,8 +49,7 @@ class BundleLockError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class VosDocument:
+class VosDocument(NamedTuple):
     """A network document as the rows it is written as: ``items`` holds
     ``(id, label, documents)`` and ``links`` holds ``(source_id, target_id,
     strength)``, every field an ``int`` but the ``str`` label; ``meta`` is
@@ -80,7 +79,7 @@ def to_vos_json(network: Network, generated_at: str | None = None) -> VosDocumen
     meta = {
         "query_name": network.name,
         "kind": network.kind,
-        "params": asdict(network.params),
+        "params": network.params._asdict(),
         "subset_size": network.subset_size,
         "generated_at": generated_at if generated_at is not None else now_stamp(),
         "engine_version": ENGINE_VERSION,
@@ -237,8 +236,7 @@ def slugify(name: str) -> str:
     return slug or "network"
 
 
-@dataclass(frozen=True)
-class BundleManifest:
+class BundleManifest(NamedTuple):
     generated_at: str
     engine_version: str
     networks: list[dict]
@@ -286,8 +284,8 @@ def write_bundle(
 
     Manifest entries align one-to-one with ``documents``. Slug collisions
     get a numeric suffix and are recorded. Files are replaced atomically.
-    Once the new manifest is written, network files it does not list (left
-    by an earlier run) are removed.
+    Once the new manifest is written, regular network files it does not
+    list (left by an earlier run) are removed.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -329,10 +327,10 @@ def write_bundle(
         )
         atomic_write_text(
             out / MANIFEST_FILE,
-            json.dumps(asdict(manifest), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
+            json.dumps(manifest._asdict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         )
         for path in (out / NETWORK_DIR).glob("*.json"):
-            if path.name not in assigned:
+            if path.name not in assigned and path.is_file():
                 path.unlink()
         atomic_write_text(out / INDEX_FILE, render_index(entries))
     return manifest
@@ -446,7 +444,7 @@ def validate_bundle(directory: str | Path) -> list[str]:
     if network_dir.is_dir():
         for path in sorted(network_dir.glob("*.json")):
             rel = f"{NETWORK_DIR}/{path.name}"
-            if rel not in listed:
+            if rel not in listed and path.is_file():
                 problems.append(f"{rel}: on disk but not listed in manifest")
     if not (root / INDEX_FILE).is_file():
         problems.append(f"missing {INDEX_FILE}")

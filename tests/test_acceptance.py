@@ -215,7 +215,8 @@ def test_dsl_laws_and_thirty_day_sample():
         a = random_expr(rng, rng.randint(0, 3))
         b = random_expr(rng, rng.randint(0, 3))
         # print/parse round-trip
-        assert parse_query(print_query(a)).ast == a, f"trial {trial}"
+        round_trip = parse_query(print_query(a)).ast
+        assert round_trip == a and repr(round_trip) == repr(a), f"trial {trial}"
         # De Morgan
         lhs = SubsetQuery(NotExpr(BoolExpr("OR", (a, b))), "lhs")
         rhs = SubsetQuery(BoolExpr("AND", (NotExpr(a), NotExpr(b))), "rhs")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import re
 import shutil
 from datetime import date
 
@@ -11,6 +13,7 @@ from bibnet.cli import main
 from bibnet.corpus import EmptyCorpusError
 from bibnet.network import CONCEPT, KIND_SPELLINGS, ORGANISATION, NetworkParams
 from bibnet.pipeline import RunConfig, run_all
+from bibnet.query import BoolExpr, Comparison
 from bibnet.sqlgen import SqlRequest, render_sql
 from bibnet.vos import validate_bundle
 
@@ -141,6 +144,20 @@ def test_rerun_after_deleting_a_query_prunes_its_networks(fixtures_dir, tmp_path
     assert validate_bundle(tmp_path / "out") == []
 
 
+def test_a_directory_named_like_a_network_file_is_left_alone(tmp_path):
+    # pruning and validation consider regular files only, as the corpus and
+    # .nql scans do; a rebuild must not fail after its manifest has committed
+    config = make_config(tmp_path)
+    run_all(config)
+    stray = tmp_path / "out" / "networks" / "old.json"
+    stray.mkdir()
+    (stray / "keep.txt").write_text("kept", encoding="utf-8")
+    run_all(config)
+    assert (stray / "keep.txt").read_text("utf-8") == "kept"
+    assert validate_bundle(tmp_path / "out") == []
+    assert main(["validate", "--dir", str(tmp_path / "out")]) == 0
+
+
 def test_fatal_ingest_propagates(tmp_path):
     qdir = write_queries(tmp_path)
     empty = tmp_path / "empty.jsonl"
@@ -174,6 +191,58 @@ def test_run_config_validates_kinds(tmp_path):
         make_config(tmp_path, kinds=("journal",))
     with pytest.raises(ValueError, match="'organisation' is given twice"):
         make_config(tmp_path, kinds=(ORGANISATION, CONCEPT, ORGANISATION))
+
+
+_TERM = Comparison("year", "==", 2020)
+# (a valid record, the fields that make it invalid, the error it must raise)
+_INVALID_RECORDS = [
+    (NetworkParams(), {"max_nodes": 0}, "max_nodes must be >= 1, got 0"),
+    (NetworkParams(), {"min_edge_weight": 0}, "min_edge_weight must be >= 1, got 0"),
+    (
+        NetworkParams(),
+        {"concept_min_relevance": 1.5},
+        "concept_min_relevance must be in [0, 1], got 1.5",
+    ),
+    (RunConfig(("c",), "q", "o"), {"kinds": ()}, "at least one network kind is required"),
+    (
+        RunConfig(("c",), "q", "o"),
+        {"kinds": (ORGANISATION, ORGANISATION)},
+        "network kind 'organisation' is given twice",
+    ),
+    (
+        RunConfig(("c",), "q", "o"),
+        {"kinds": ("orgs",)},
+        "unknown network kind 'orgs' (expected one of ('organisation', 'concept'))",
+    ),
+    (
+        BoolExpr("OR", (_TERM, _TERM)),
+        {"op": "or"},
+        "BoolExpr op must be one of ('OR', 'AND'), got 'or'",
+    ),
+    (
+        BoolExpr("OR", (_TERM, _TERM)),
+        {"terms": (_TERM,)},
+        "BoolExpr needs two or more terms, got 1",
+    ),
+]
+# each way a named tuple is made: the constructor, _replace, _make, and
+# unpickling, here of a value built past every check
+_CONSTRUCTION_PATHS = {
+    "constructor": lambda valid, fields: type(valid)(**fields),
+    "_replace": lambda valid, fields: valid._replace(**fields),
+    "_make": lambda valid, fields: type(valid)._make(fields.values()),
+    "pickle": lambda valid, fields: pickle.loads(
+        pickle.dumps(tuple.__new__(type(valid), fields.values()))
+    ),
+}
+
+
+@pytest.mark.parametrize("path", _CONSTRUCTION_PATHS)
+@pytest.mark.parametrize("valid, invalid, message", _INVALID_RECORDS)
+def test_checked_records_check_every_construction_path(path, valid, invalid, message):
+    fields = invalid if path == "_replace" else {**valid._asdict(), **invalid}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _CONSTRUCTION_PATHS[path](valid, fields)
 
 
 # --- CLI ------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import os
 import random
@@ -249,7 +248,7 @@ _META = st.builds(
     lambda name, size: {
         "query_name": name,
         "kind": CONCEPT,
-        "params": dataclasses.asdict(NetworkParams()),
+        "params": NetworkParams()._asdict(),
         "subset_size": size,
         "generated_at": STAMP,
         "engine_version": "0.0.0",
