@@ -19,12 +19,13 @@ from bibnet.version import ENGINE_VERSION as __version__
 _EXPORTS = {
     "corpus": """Corpus DuplicateIdError EmptyCorpusError IngestReport Organisation
         Publication StatsReport build_corpus corpus_stats ingest""",
-    "network": "CONCEPT KINDS ORGANISATION Edge Network NetworkParams Node build_network top_nodes",
+    "network": "Edge Network Node build_network top_nodes",
     "pipeline": "RunConfig RunReport run_all",
     "query": """QueryError SubsetQuery SubsetResult eval_query load_query_folder parse_query
         print_query""",
     "sqlgen": "SqlRequest render_sql",
-    "vos": "VosDocument to_vos_json validate_bundle validate_document_dict write_bundle",
+    "vos": """CONCEPT KINDS ORGANISATION NetworkParams VosDocument to_vos_json validate_bundle
+        validate_document_dict write_bundle""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

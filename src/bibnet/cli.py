@@ -19,11 +19,9 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from bibnet.corpus import CorpusError, corpus_stats, ingest, parse_date, read_text
-from bibnet.network import KIND_SLUGS, KINDS, NetworkParams, normalize_kind
-from bibnet.sqlgen import DEFAULT_DATASET_PREFIX, SqlRequest, render_sql
 from bibnet.version import ENGINE_VERSION
-from bibnet.vos import BundleLockError, validate_bundle
+from bibnet.vos import KIND_SLUGS, KINDS, BundleLockError, NetworkParams, normalize_kind
+from bibnet.vos import validate_bundle
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -39,6 +37,8 @@ def _fail(message: str) -> int:
 
 
 def _parse_today(value: str) -> date:
+    from bibnet.corpus import parse_date
+
     try:
         return parse_date(value)
     except ValueError:
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sql = sub.add_parser("sql", help="render the BigQuery template for a subquery file")
     p_sql.add_argument("--kind", required=True, help=" or ".join(KIND_SLUGS))
     p_sql.add_argument("--query-file", required=True, help="file containing the SQL subquery")
-    p_sql.add_argument("--dataset-prefix", default=DEFAULT_DATASET_PREFIX)
+    p_sql.add_argument("--dataset-prefix")
     p_sql.add_argument(
         "--params-out", default=None, help="write the parameter manifest here instead of stderr"
     )
@@ -129,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from bibnet.corpus import corpus_stats, ingest
+
     corpus, report = ingest(args.corpus)
     stats = corpus_stats(corpus)
     if args.report:
@@ -164,14 +166,18 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_sql(args: argparse.Namespace) -> int:
+    from bibnet.corpus import read_text
+    from bibnet.sqlgen import DEFAULT_DATASET_PREFIX, SqlRequest, render_sql
+
     kind = normalize_kind(args.kind)
     subquery = read_text(args.query_file)
+    prefix = DEFAULT_DATASET_PREFIX if args.dataset_prefix is None else args.dataset_prefix
     rendered = render_sql(
         SqlRequest(
             user_subquery=subquery,
             kind=kind,
             params=_params_from_args(args),
-            dataset_prefix=args.dataset_prefix,
+            dataset_prefix=prefix,
         )
     )
     manifest = json.dumps(rendered.named_params, sort_keys=True, indent=2) + "\n"
@@ -211,8 +217,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# A handler imports what only it runs: build loads bibnet.pipeline (and with it
-# bibnet.query), serve loads bibnet.server (and http.server); no other command does.
+# A handler imports the modules only it runs (bibnet.corpus, bibnet.sqlgen, bibnet.pipeline,
+# bibnet.server), so --version and validate load no bibnet module but bibnet.vos.
 _COMMANDS = {
     "ingest": cmd_ingest,
     "build": cmd_build,
@@ -232,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_FATAL
     try:
         return _COMMANDS[args.command](args)
-    except (CorpusError, BundleLockError, OSError, ValueError) as exc:
+    except (BundleLockError, OSError, ValueError) as exc:  # a CorpusError is a ValueError
         return _fail(str(exc))
 
 

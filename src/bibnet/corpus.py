@@ -51,7 +51,7 @@ _CSV_RELEVANCE = re.compile(r"\s*-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-
 MAX_REPORTED_REASONS = 20
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """Base class for corpus ingest/validation failures."""
 
 

@@ -35,24 +35,10 @@ from itertools import chain, combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from bibnet.corpus import CONCEPT_TEXTS, RELEVANCES, RESEARCH_ORGS, Corpus
+from bibnet.vos import KINDS, ORGANISATION, NetworkParams, check_kind  # KINDS: importable here too
 
 if TYPE_CHECKING:  # annotations only: building a network needs no query language
     from bibnet.query import SubsetResult
-
-ORGANISATION = "organisation"
-CONCEPT = "concept"
-# each kind -> the spellings the command line accepts, its file-name slug first
-KIND_SPELLINGS: dict[str, tuple[str, ...]] = {
-    ORGANISATION: ("org", "orgs", "organisation", "organization", "organisations"),
-    CONCEPT: ("concept", "concepts"),
-}
-KINDS = tuple(KIND_SPELLINGS)
-KIND_SLUGS = tuple(spellings[0] for spellings in KIND_SPELLINGS.values())
-_KIND_OF_SPELLING = {s: kind for kind, spellings in KIND_SPELLINGS.items() for s in spellings}
-
-DEFAULT_MAX_NODES = 500
-DEFAULT_MIN_EDGE_WEIGHT = 2
-DEFAULT_CONCEPT_MIN_RELEVANCE = 0.5
 
 # K, for _bitsets_cost_less: an intersected pair of bitsets costs about what
 # an enumerated pair does, plus 1/K of that per 64-bit word the two bitsets
@@ -61,30 +47,6 @@ DEFAULT_CONCEPT_MIN_RELEVANCE = 0.5
 # intersected pair 95-110 ns plus 5.2-7.0 ns per word (200 nodes, 64 to
 # 160,000 publications), so K is 17-25; 16 errs toward enumerating.
 _WORDS_PER_ENUMERATED_PAIR = 16
-
-
-class _NetworkParams(NamedTuple):
-    max_nodes: int = DEFAULT_MAX_NODES
-    min_edge_weight: int = DEFAULT_MIN_EDGE_WEIGHT
-    concept_min_relevance: float = DEFAULT_CONCEPT_MIN_RELEVANCE
-
-
-class NetworkParams(_NetworkParams):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> NetworkParams:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
-        if self.min_edge_weight < 1:
-            raise ValueError(f"min_edge_weight must be >= 1, got {self.min_edge_weight}")
-        if not 0.0 <= self.concept_min_relevance <= 1.0:
-            raise ValueError(
-                f"concept_min_relevance must be in [0, 1], got {self.concept_min_relevance}"
-            )
-        return self
-
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls _make: check it too
 
 
 class Node(NamedTuple):
@@ -108,17 +70,13 @@ class Network(NamedTuple):
     subset_size: int
 
 
-def check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"unknown network kind {kind!r} (expected one of {KINDS})")
-
-
 def _subset_entities(
     corpus: Corpus, subset: SubsetResult, kind: str, params: NetworkParams
 ) -> list[tuple[str, ...]]:
     """Deduplicated entity keys that may enter the network, one tuple per
     subset publication; subset ids absent from the corpus are ignored. A
     tuple takes about a third of the memory of the set it is built from."""
+    check_kind(kind)
     pubs = corpus.publications
     members = [pubs[pid] for pid in subset.ids if pid in pubs]
     if kind == ORGANISATION:
@@ -155,7 +113,6 @@ def top_nodes(
     listings; for concepts only mentions at or above the relevance gate
     participate.
     """
-    check_kind(kind)
     return _rank(corpus, _subset_entities(corpus, subset, kind, params), kind, params)
 
 
@@ -233,7 +190,6 @@ def build_network(
     two organisations share (author affiliations); for concepts, it counts
     the subset publications in which both concepts pass the relevance gate.
     """
-    check_kind(kind)
     entity_keys = _subset_entities(corpus, subset, kind, params)
     nodes = _rank(corpus, entity_keys, kind, params)
     keys = sorted((node.key for node in nodes), reverse=True)
@@ -248,17 +204,3 @@ def build_network(
         edges=tuple(map(Edge._make, count_pairs(entity_keys, keys, params.min_edge_weight))),
         subset_size=len(entity_keys),
     )
-
-
-def normalize_kind(value: str) -> str:
-    """Map a command-line spelling (org, orgs, concepts, ...) to its kind."""
-    kind = _KIND_OF_SPELLING.get(value.strip().lower())
-    if kind is None:
-        expected = " or ".join(map(repr, KIND_SLUGS))
-        raise ValueError(f"unknown network kind {value!r} (expected {expected})")
-    return kind
-
-
-def kind_slug(kind: str) -> str:
-    check_kind(kind)
-    return KIND_SPELLINGS[kind][0]

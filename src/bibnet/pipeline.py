@@ -13,10 +13,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 from bibnet.corpus import IngestReport, StatsReport, corpus_stats, ingest
-from bibnet.network import KINDS, NetworkParams, build_network, check_kind
+from bibnet.network import build_network
 from bibnet.query import eval_query, load_query_folder
 from bibnet.version import ENGINE_VERSION
-from bibnet.vos import atomic_write_text, now_stamp, to_vos_json, write_bundle
+from bibnet.vos import KINDS, NetworkParams, atomic_write_text, check_kind, now_stamp, to_vos_json
+from bibnet.vos import write_bundle
 
 RUN_REPORT_FILE = "run_report.json"
 

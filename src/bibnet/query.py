@@ -164,7 +164,7 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#[^\n]*)
   | (?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2})
   | (?P<int>[0-9]+)
-  | (?P<str>"(?:[^"\\]|\\[^\r\n])*"|'(?:[^'\\]|\\[^\r\n])*')
+  | (?P<str>"[^"\\]*(?:\\[^\r\n][^"\\]*)*"|'[^'\\]*(?:\\[^\r\n][^'\\]*)*')
   | (?P<op>==|!=|<=|>=|<|>)
   | (?P<lparen>\()
   | (?P<rparen>\))
@@ -214,7 +214,9 @@ def _tokenize(text: str) -> list[_Token]:
                 message = f"integer literal of {len(raw)} digits is too long"
                 raise _error(QuerySyntaxError, message, text, pos) from None
         elif kind == "str":
-            value = re.sub(r"\\(.)", r"\1", raw[1:-1])  # drop each escaping backslash
+            value = raw[1:-1]
+            if "\\" in value:  # drop each escaping backslash
+                value = re.sub(r"\\(.)", r"\1", value)
         elif kind == "ident" and raw.upper() in _KEYWORDS:
             kind = value = raw.upper()
         tokens.append(_Token(kind, raw, value, pos))

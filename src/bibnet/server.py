@@ -71,19 +71,12 @@ class BundleRequestHandler(BaseHTTPRequestHandler):
     def _serve(self, include_body: bool) -> None:
         target = resolve_request_path(self.root, self.path)
         if target is None:
-            body = b"not found\n"
-            self.send_response(404)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            if include_body:
-                self.wfile.write(body)
-            return
-        data = target.read_bytes()
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", CONTENT_TYPES.get(target.suffix.lower(), DEFAULT_CONTENT_TYPE)
-        )
+            status, content_type, data = 404, "text/plain; charset=utf-8", b"not found\n"
+        else:
+            status, data = 200, target.read_bytes()
+            content_type = CONTENT_TYPES.get(target.suffix.lower(), DEFAULT_CONTENT_TYPE)
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         if include_body:

@@ -4,7 +4,7 @@ The organisation collaboration template is kept byte-exact; rendering only
 splices the user's subquery into the ``{user-provided-subquery}`` slot and
 rewrites the dataset prefix when overridden. Each ``@name`` the template
 uses stays a named query parameter; the value of each such
-:class:`~bibnet.network.NetworkParams` field is returned alongside the SQL.
+:class:`~bibnet.vos.NetworkParams` field is returned alongside the SQL.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import re
 from importlib import resources
 from typing import NamedTuple
 
-from bibnet.network import CONCEPT, ORGANISATION, NetworkParams, check_kind
+from bibnet.vos import CONCEPT, ORGANISATION, NetworkParams, check_kind
 
 DEFAULT_DATASET_PREFIX = "covid-19-dimensions-ai.data"
 SUBQUERY_PLACEHOLDER = "{user-provided-subquery}"

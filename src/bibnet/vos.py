@@ -2,10 +2,12 @@
 
 Networks become interchange documents (``network.items`` +
 ``network.links``; run metadata under the ``bibnet_meta`` key, which
-VOSviewer ignores). Bundles are a directory of one JSON file per network,
-an ``index.html`` with relative links, and a ``manifest.json`` table of
-contents. JSON is emitted with sorted keys and LF endings so reruns are
-diffable; writes are temp-then-rename and guarded by a lock file.
+VOSviewer ignores). The kinds and :class:`NetworkParams` a document records
+are defined here, and ``NetworkParams`` checks a field by the document's rule.
+Bundles are a directory of one JSON file per network, an ``index.html``
+with relative links, and a ``manifest.json`` table of contents. JSON is
+emitted with sorted keys and LF endings so reruns are diffable; writes are
+temp-then-rename and guarded by a lock file.
 
 Network files have exactly the layout of ``json.dumps(document,
 sort_keys=True, indent=2, ensure_ascii=False)`` plus a final newline.
@@ -27,10 +29,12 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from bibnet.network import KINDS, Network, kind_slug
 from bibnet.version import ENGINE_VERSION
+
+if TYPE_CHECKING:  # annotations only: exporting a network needs no network code
+    from bibnet.network import Network
 
 META_KEY = "bibnet_meta"
 DOCUMENTS_WEIGHT = "Documents"
@@ -43,6 +47,36 @@ VOSVIEWER_ONLINE_URL = "https://app.vosviewer.com/"
 
 # a manifest ``file``: one file directly in NETWORK_DIR, named so a URL needs no quoting
 _NETWORK_FILE = re.compile(rf"{NETWORK_DIR}/[A-Za-z0-9._~-]+\.json")
+
+ORGANISATION = "organisation"
+CONCEPT = "concept"
+# each kind -> the spellings the command line accepts, its file-name slug first
+KIND_SPELLINGS: dict[str, tuple[str, ...]] = {
+    ORGANISATION: ("org", "orgs", "organisation", "organization", "organisations"),
+    CONCEPT: ("concept", "concepts"),
+}
+KINDS = tuple(KIND_SPELLINGS)
+KIND_SLUGS = tuple(spellings[0] for spellings in KIND_SPELLINGS.values())
+_KIND_OF_SPELLING = {s: kind for kind, spellings in KIND_SPELLINGS.items() for s in spellings}
+
+
+def check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown network kind {kind!r} (expected one of {KINDS})")
+
+
+def normalize_kind(value: str) -> str:
+    """Map a command-line spelling (org, orgs, concepts, ...) to its kind."""
+    kind = _KIND_OF_SPELLING.get(value.strip().lower())
+    if kind is None:
+        expected = " or ".join(map(repr, KIND_SLUGS))
+        raise ValueError(f"unknown network kind {value!r} (expected {expected})")
+    return kind
+
+
+def kind_slug(kind: str) -> str:
+    check_kind(kind)
+    return KIND_SPELLINGS[kind][0]
 
 
 class BundleLockError(RuntimeError):
@@ -150,21 +184,42 @@ _ITEM_FIELDS = {
     "weights": (_weights, f"an object of numbers with an integer {DOCUMENTS_WEIGHT!r} >= 1"),
 }
 _LINK_FIELDS = {"source_id": _POSITIVE, "target_id": _POSITIVE, "strength": _POSITIVE}
+_PARAM_FIELDS = {  # NetworkParams checks its fields with these rules too
+    "max_nodes": _POSITIVE,
+    "min_edge_weight": _POSITIVE,
+    "concept_min_relevance": (lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+}
 _DOCUMENT_FIELDS = {
     "network": {"items": _ARRAY, "links": _ARRAY},
     META_KEY: {
         "engine_version": _TEXT,
         "generated_at": _TEXT,
         "kind": (lambda v: v in KINDS, f"one of {KINDS}"),
-        "params": {
-            "max_nodes": _POSITIVE,
-            "min_edge_weight": _POSITIVE,
-            "concept_min_relevance": (lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-        },
+        "params": _PARAM_FIELDS,
         "query_name": (lambda v: isinstance(v, str), "a string"),
         "subset_size": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
     },
 }
+
+
+class _NetworkParams(NamedTuple):
+    max_nodes: int = 500
+    min_edge_weight: int = 2
+    concept_min_relevance: float = 0.5
+
+
+class NetworkParams(_NetworkParams):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> NetworkParams:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            test, expected = _PARAM_FIELDS[name]
+            if not test(value):
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls _make: check it too
 
 
 def _check_fields(value: object, fields: dict, path: str, problems: list[str]) -> bool:

@@ -6,7 +6,6 @@ import random
 from datetime import date, timedelta
 
 from bibnet.corpus import Corpus, Organisation, Publication, build_corpus
-from bibnet.network import NetworkParams
 from bibnet.query import (
     BoolExpr,
     Comparison,
@@ -16,6 +15,7 @@ from bibnet.query import (
     NotExpr,
     SubsetResult,
 )
+from bibnet.vos import NetworkParams
 
 JOURNALS = ["Nature", "Science", "The Lancet", "medRxiv", "bioRxiv", "PLOS ONE", "BMJ"]
 DOC_TYPES = ["article", "preprint", "other"]

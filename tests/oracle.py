@@ -10,8 +10,9 @@ checked against and must never be imported by shipping code.
 from __future__ import annotations
 
 from bibnet.corpus import CONCEPT_TEXTS, RELEVANCES, RESEARCH_ORGS, Corpus
-from bibnet.network import ORGANISATION, Edge, Network, NetworkParams, Node
+from bibnet.network import Edge, Network, Node
 from bibnet.query import SubsetResult
+from bibnet.vos import ORGANISATION, NetworkParams
 
 
 def brute_force_network(

@@ -1,15 +1,19 @@
-"""Naive per-record reference evaluator for the query language.
+"""Naive references for the query language: a per-record evaluator and a
+tokenizer.
 
-Interprets the AST afresh for every publication, reading each field into a
-list of values (empty when a scalar field is missing, every element for a
-multi-valued field) and asking whether any value passes the leaf. Lives in
-the test tree on purpose: it is the independent reference that the
-compiled evaluator in :mod:`bibnet.query` is checked against and must
-never be imported by shipping code.
+The evaluator interprets the AST afresh for every publication, reading
+each field into a list of values (empty when a scalar field is missing,
+every element for a multi-valued field) and asking whether any value
+passes the leaf. The tokenizer reads a string literal one character or
+escape at a time and unescapes it whatever it holds. Both live in the test
+tree on purpose: they are the independent references that the compiled
+evaluator and the tokenizer in :mod:`bibnet.query` are checked against and
+must never be imported by shipping code.
 """
 
 from __future__ import annotations
 
+import re
 from datetime import date, timedelta
 
 from bibnet.corpus import (
@@ -72,3 +76,45 @@ def matches(expr: Expr, pub: tuple, today: date) -> bool:
 
 def reference_ids(expr: Expr, corpus: Corpus, today: date) -> frozenset[str]:
     return frozenset(pid for pid, pub in corpus.publications.items() if matches(expr, pub, today))
+
+
+# The token rules of bibnet.query, a string literal read one character or one
+# escape at a time
+TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2})
+  | (?P<int>[0-9]+)
+  | (?P<str>"(?:[^"\\]|\\[^\r\n])*"|'(?:[^'\\]|\\[^\r\n])*')
+  | (?P<op>==|!=|<=|>=|<|>)
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<comma>,)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<bad>[\s\S])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokens(text: str) -> list[tuple[str, str, object, int]]:
+    """``(kind, text, value, pos)`` of each token of ``text`` but whitespace
+    and comments; a character no rule takes is a ``bad`` token, and a
+    keyword's kind and value are its upper-case spelling."""
+    tokens = []
+    for m in TOKEN_RE.finditer(text):
+        kind, raw = m.lastgroup, m.group()
+        value: object = raw
+        if kind in ("ws", "comment"):
+            continue
+        if kind == "date":
+            value = date.fromisoformat(raw)
+        elif kind == "int":
+            value = int(raw)
+        elif kind == "str":
+            value = re.sub(r"\\(.)", r"\1", raw[1:-1])
+        elif kind == "ident" and raw.upper() in ("AND", "OR", "NOT", "IN"):
+            kind = value = raw.upper()
+        tokens.append((kind, raw, value, m.start()))
+    return tokens

@@ -21,12 +21,13 @@ import pytest
 
 from bibnet.cli import main
 from bibnet.corpus import Organisation, Publication, build_corpus
-from bibnet.network import CONCEPT, KINDS, ORGANISATION, NetworkParams, build_network
+from bibnet.network import build_network
 from bibnet.network import _bitsets_cost_less as bitsets_cost_less
 from bibnet.pipeline import RunConfig, run_all
 from bibnet.query import BoolExpr, NotExpr, SubsetQuery, eval_query, parse_query, print_query
 from bibnet.server import make_server
 from bibnet.sqlgen import SUBQUERY_PLACEHOLDER, SqlRequest, render_sql
+from bibnet.vos import CONCEPT, KINDS, ORGANISATION, NetworkParams
 from bibnet.vos import validate_bundle, validate_document_dict
 
 from gen import make_subset, random_corpus, random_expr, random_params, random_subset

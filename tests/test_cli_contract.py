@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from bibnet.cli import main
+from bibnet.sqlgen import DEFAULT_DATASET_PREFIX
 from bibnet.vos import LOCK_FILE
 
 LATIN_1 = '{"id": "Caf\xe9"}\n'.encode("latin-1")
@@ -191,3 +192,17 @@ def test_bad_input_is_a_named_error_or_a_counted_skip(
             f"error: {p.notes}: not a corpus file; "
             "its suffix must be one of .jsonl, .ndjson, .json, .csv\n"
         )
+
+
+def test_sql_dataset_prefix_defaults_to_the_templates_and_can_be_rewritten(tmp_path, capsys):
+    p = _inputs(tmp_path)
+    assert main([str(arg) for arg in _sql(p)]) == 0
+    default = capsys.readouterr().out
+    assert f"`{DEFAULT_DATASET_PREFIX}.publications`" in default
+    argv = [str(arg) for arg in _sql(p)] + ["--dataset-prefix", "my-project.data"]
+    assert main(argv) == 0
+    rewritten = capsys.readouterr().out
+    assert DEFAULT_DATASET_PREFIX not in rewritten
+    assert rewritten == default.replace(DEFAULT_DATASET_PREFIX, "my-project.data")
+    assert main([str(arg) for arg in _sql(p)] + ["--dataset-prefix", ""]) == 1
+    assert capsys.readouterr().err == "error: dataset prefix must be non-empty\n"

@@ -20,11 +20,7 @@ from bibnet.corpus import (
     build_corpus,
 )
 from bibnet.network import (
-    CONCEPT,
-    KINDS,
-    ORGANISATION,
     Edge,
-    NetworkParams,
     _bitsets_cost_less,
     _pairs_by_bitsets,
     _pairs_by_enumeration,
@@ -33,6 +29,7 @@ from bibnet.network import (
     build_network,
     top_nodes,
 )
+from bibnet.vos import CONCEPT, KINDS, ORGANISATION, NetworkParams
 
 from gen import make_subset, random_corpus, random_params, random_subset
 from oracle import brute_force_network

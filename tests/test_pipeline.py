@@ -11,11 +11,10 @@ import pytest
 
 from bibnet.cli import main
 from bibnet.corpus import EmptyCorpusError
-from bibnet.network import CONCEPT, KIND_SPELLINGS, ORGANISATION, NetworkParams
 from bibnet.pipeline import RunConfig, run_all
 from bibnet.query import BoolExpr, Comparison
 from bibnet.sqlgen import SqlRequest, render_sql
-from bibnet.vos import validate_bundle
+from bibnet.vos import CONCEPT, KIND_SPELLINGS, ORGANISATION, NetworkParams, validate_bundle
 
 TODAY = date(2022, 7, 1)
 
@@ -196,12 +195,19 @@ def test_run_config_validates_kinds(tmp_path):
 _TERM = Comparison("year", "==", 2020)
 # (a valid record, the fields that make it invalid, the error it must raise)
 _INVALID_RECORDS = [
-    (NetworkParams(), {"max_nodes": 0}, "max_nodes must be >= 1, got 0"),
-    (NetworkParams(), {"min_edge_weight": 0}, "min_edge_weight must be >= 1, got 0"),
+    (NetworkParams(), {"max_nodes": 0}, "max_nodes must be an integer >= 1, got 0"),
+    (NetworkParams(), {"min_edge_weight": 0}, "min_edge_weight must be an integer >= 1, got 0"),
     (
         NetworkParams(),
         {"concept_min_relevance": 1.5},
-        "concept_min_relevance must be in [0, 1], got 1.5",
+        "concept_min_relevance must be a number in [0, 1], got 1.5",
+    ),
+    # the types validate_document_dict holds bibnet_meta/params to
+    (NetworkParams(), {"min_edge_weight": 1.5}, "min_edge_weight must be an integer >= 1, got 1.5"),
+    (
+        NetworkParams(),
+        {"concept_min_relevance": True},
+        "concept_min_relevance must be a number in [0, 1], got True",
     ),
     (RunConfig(("c",), "q", "o"), {"kinds": ()}, "at least one network kind is required"),
     (

@@ -7,7 +7,7 @@ import time
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibnet.cli import main
@@ -33,6 +33,7 @@ from bibnet.query import (
     QueryTypeError,
     SubsetQuery,
     UnknownFieldError,
+    _tokenize,
     eval_query,
     load_query_folder,
     parse_query,
@@ -40,7 +41,7 @@ from bibnet.query import (
 )
 
 from gen import random_corpus, random_expr
-from query_reference import reference_ids
+from query_reference import reference_ids, reference_tokens
 
 TODAY = date(2022, 5, 1)
 
@@ -214,6 +215,35 @@ def test_error_names_its_class_message_line_and_column(text, cls, message, line,
     assert type(error) is cls
     assert str(error) == f"{message} (line {line}, column {column})"
     assert (error.line, error.column) == (line, column)
+
+
+# quotes, escapes, line breaks and unterminated literals, among other tokens
+_LEXEMES = [
+    '"', "'", "\\", '\\"', "\\'", "\\\\", "\r", "\n", "\r\n", " ", "a", "é", "in", "7", ","
+]
+
+
+@given(st.lists(st.sampled_from(_LEXEMES), max_size=24).map("".join))
+@example('"a\\"b" OR \'c\\\\\'')
+@example('"a\\\nb"')
+@example("'unterminated")
+@settings(max_examples=400, deadline=None)
+def test_tokenizer_reads_string_literals_as_the_reference_does(text):
+    expected = reference_tokens(text)
+    kinds = [kind for kind, _, _, _ in expected]
+    end = kinds.index("bad") if "bad" in kinds else len(expected)
+    pos = expected[end][3] if end < len(expected) else len(text)
+    # the tokens before the first character no rule takes are the reference's
+    assert [tuple(token) for token in _tokenize(text[:pos])[:-1]] == expected[:end]
+    if end < len(expected):
+        with pytest.raises(QuerySyntaxError) as caught:
+            _tokenize(text)
+        assert str(caught.value).startswith(f"unexpected character {expected[end][1]!r}")
+        line_start = text.rfind("\n", 0, pos) + 1
+        assert (caught.value.line, caught.value.column) == (
+            text.count("\n", 0, pos) + 1,
+            pos - line_start + 1,
+        )
 
 
 def test_a_chain_of_one_operator_is_one_node_printed_flat():

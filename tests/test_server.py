@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibnet.server import make_server, resolve_request_path
-from bibnet.vos import to_vos_json, write_bundle
-from bibnet.network import Network, NetworkParams, ORGANISATION, Node, Edge
+from bibnet.vos import ORGANISATION, NetworkParams, to_vos_json, write_bundle
+from bibnet.network import Network, Node, Edge
 
 STAMP = "2022-07-01T00:00:00+00:00"
 

@@ -4,13 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from bibnet.network import CONCEPT, ORGANISATION, NetworkParams
 from bibnet.sqlgen import (
     DEFAULT_DATASET_PREFIX,
     SUBQUERY_PLACEHOLDER,
     SqlRequest,
     render_sql,
 )
+from bibnet.vos import CONCEPT, ORGANISATION, NetworkParams
 
 GOLDEN = (Path(__file__).parent / "data" / "org_collab_golden.sql").read_text("utf-8")
 

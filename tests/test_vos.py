@@ -14,17 +14,14 @@ from hypothesis import strategies as st
 
 from bibnet.cli import main
 from bibnet.corpus import Organisation, Publication, build_corpus
-from bibnet.network import (
+from bibnet.network import Network, build_network
+from bibnet.vos import (
     CONCEPT,
     KINDS,
-    Network,
-    NetworkParams,
     ORGANISATION,
-    build_network,
-)
-from bibnet.vos import (
     BundleLockError,
     LOCK_FILE,
+    NetworkParams,
     VosDocument,
     dumps_document,
     slugify,
@@ -191,6 +188,25 @@ def test_hand_validator_agrees_with_jsonschema_on_mutated_documents():
         expected = next(oracle.iter_errors(data), None) is not None
         assert hand == expected, (trial, data)
         outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("field", NetworkParams._fields)
+def test_network_params_accept_exactly_what_validate_accepts(abc_corpus, field):
+    data = abc_data(abc_corpus)
+    outcomes = set()
+    for value in (*MUTANT_VALUES, 1.5, "5"):  # None is a mutant value too
+        data["bibnet_meta"]["params"][field] = value
+        where = f"schema: bibnet_meta/params/{field}:"
+        rejected = any(p.startswith(where) for p in validate_document_dict(data))
+        try:
+            NetworkParams(**{field: value})
+        except ValueError:
+            raised = True
+        else:
+            raised = False
+        assert raised == rejected, value
+        outcomes.add(rejected)
     assert outcomes == {True, False}
 
 
