@@ -20,7 +20,6 @@ through fixed templates, labels through ``json.encoder.encode_basestring``
 
 from __future__ import annotations
 
-import html
 import json
 import os
 import re
@@ -217,6 +216,10 @@ class NetworkParams(_NetworkParams):
             test, expected = _PARAM_FIELDS[name]
             if not test(value):
                 raise ValueError(f"{name} must be {expected}, got {value!r}")
+        max_nodes, min_edge_weight, concept_min_relevance = self
+        if isinstance(max_nodes, float) or isinstance(min_edge_weight, float):
+            # 2.0 passes the integer rule, as in JSON Schema; the network code needs an int
+            return super().__new__(cls, int(max_nodes), int(min_edge_weight), concept_min_relevance)
         return self
 
     _make = classmethod(lambda cls, values: cls(*values))  # _replace calls _make: check it too
@@ -243,6 +246,45 @@ def _check_fields(value: object, fields: dict, path: str, problems: list[str]) -
     return len(problems) == count
 
 
+# The fast passes accept an array only when no rule and no integrity check
+# could find a problem in it, reading every field by its exact type; anything
+# else (a bool or 2.0 for an id, an extra key, a reversed pair) they leave to
+# the rule table, which words the problems.
+def _exact_items(items: list) -> bool:
+    """Every item has exactly an int ``id`` equal to its 1-based position, a
+    non-empty ``str`` label and ``weights`` holding only an int ``Documents`` >= 1."""
+    for n, item in enumerate(items, start=1):
+        if type(item) is not dict or len(item) != 3:
+            return False
+        item_id, label, weights = item.get("id"), item.get("label"), item.get("weights")
+        if type(item_id) is not int or item_id != n or type(label) is not str or not label:
+            return False
+        if type(weights) is not dict or len(weights) != 1:
+            return False
+        documents = weights.get(DOCUMENTS_WEIGHT)
+        if type(documents) is not int or documents < 1:
+            return False
+    return True
+
+
+def _exact_links(links: list, n_items: int, min_weight: float) -> bool:
+    """Every link has exactly three int fields with ``1 <= source_id <
+    target_id <= n_items`` and a strength >= ``min_weight`` (itself >= 1),
+    and no pair repeats."""
+    pairs = set()
+    for link in links:
+        if type(link) is not dict or len(link) != 3:
+            return False
+        source, target = link.get("source_id"), link.get("target_id")
+        strength = link.get("strength")
+        if type(source) is not int or type(target) is not int or type(strength) is not int:
+            return False
+        if not 1 <= source < target <= n_items or strength < min_weight:
+            return False
+        pairs.add((source, target))
+    return len(pairs) == len(links)
+
+
 def validate_document_dict(data: object) -> list[str]:
     """Check a parsed document against every rule of ``vos_schema.json``
     and for link integrity, in one pass; returns problems.
@@ -251,13 +293,18 @@ def validate_document_dict(data: object) -> list[str]:
     checked once the top level, ``network`` and ``bibnet_meta`` pass.
     Integrity checks (consecutive item ids, link endpoints, self loops,
     duplicate pairs, strengths below ``min_edge_weight``) apply only to
-    schema-valid items and links.
+    schema-valid items and links. Items and links that the exact passes
+    accept have no problem to report, so the rule table runs only when one
+    of them declines.
     """
     problems: list[str] = []
     if not _check_fields(data, _DOCUMENT_FIELDS, "", problems):
         return problems
     items = data["network"]["items"]
     links = data["network"]["links"]
+    min_weight = data[META_KEY]["params"]["min_edge_weight"]
+    if _exact_items(items) and _exact_links(links, len(items), min_weight):
+        return []
     for n, item in enumerate(items):
         _check_fields(item, _ITEM_FIELDS, f"network/items/{n}", problems)
     # link endpoints are judged only against a schema-valid item list
@@ -267,7 +314,6 @@ def validate_document_dict(data: object) -> list[str]:
         problems.append("item ids are not consecutive from 1")
     valid_ids = set(ids)
     seen_pairs: set[tuple[int, int]] = set()
-    min_weight = data[META_KEY]["params"]["min_edge_weight"]
     for n, ln in enumerate(links):
         if not _check_fields(ln, _LINK_FIELDS, f"network/links/{n}", problems) or not items_ok:
             continue
@@ -393,6 +439,8 @@ def write_bundle(
 
 def render_index(entries: list[dict]) -> str:
     """Static index page; links stay relative so any host path works."""
+    import html  # only the build writes a page: validate and --version skip it
+
     rows = []
     for entry in entries:
         rows.append(

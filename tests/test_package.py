@@ -77,8 +77,9 @@ def test_readme_python_example_runs():
     assert corpus.organisations["grid.1"].name == "Alpha University"
 
 
-# Run each command in turn and record which bibnet modules, and which of
-# UNWANTED, are loaded after it; ["serve"] stands for importing bibnet.server.
+# Run each command in turn and record which bibnet modules, and which of the
+# names passed as unwanted, are loaded after it; ["serve"] stands for
+# importing bibnet.server.
 # The record is the last line, after whatever the commands print.
 COMMANDS_LOAD = """
 import json, sys
@@ -115,7 +116,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         ["ingest", "--corpus", str(fixtures / "corpus")],
         ["sql", "--kind", "concept", "--query-file", str(subset)],
     ]
-    child = _child(COMMANDS_LOAD.format(commands=commands, unwanted=UNWANTED))
+    child = _child(COMMANDS_LOAD.format(commands=commands, unwanted=(*UNWANTED, "html")))
     loaded = json.loads(child.stdout.splitlines()[-1])
     assert list(loaded) == ["--version", "validate", "serve", "ingest", "sql"]
     assert "bibnet.vos" in loaded["validate"]
@@ -124,6 +125,9 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         assert not set(UNWANTED) & set(modules), command
     for command in ("--version", "validate", "serve"):
         assert not set(CORPUS_CODE) & set(loaded[command]), command
+    # only the index page escapes HTML; serve loads html through http.server
+    for command in ("--version", "validate"):
+        assert "html" not in loaded[command], command
 
     bare = _child("import json, sys, bibnet; print(json.dumps(sorted(sys.modules)))")
     loaded_by_import = [name for name in json.loads(bare.stdout) if name.startswith("bibnet")]

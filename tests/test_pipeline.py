@@ -157,6 +157,26 @@ def test_a_directory_named_like_a_network_file_is_left_alone(tmp_path):
     assert main(["validate", "--dir", str(tmp_path / "out")]) == 0
 
 
+def test_integral_float_params_build_the_bundle_their_ints_build(fixtures_dir, tmp_path):
+    # 2.0 is an integer to the params rule, so it must build as 2 does
+    def bundle_files(name, params):
+        out = tmp_path / name
+        report = run_all(make_config(
+            tmp_path, corpus_paths=(str(fixtures_dir / "corpus"),),
+            query_dir=str(fixtures_dir / "queries"), out_dir=str(out), params=params,
+        ))
+        assert report.skipped == [] and report.networks_produced == 6
+        stamp = re.compile(rb'"generated_at": "[^"]*"')
+        return {
+            path.relative_to(out): stamp.sub(b"", path.read_bytes())
+            for path in sorted(out.rglob("*")) if path.is_file()
+        }
+
+    floats = bundle_files("floats", NetworkParams(max_nodes=2.0, min_edge_weight=1.0))
+    assert floats == bundle_files("ints", NetworkParams(max_nodes=2, min_edge_weight=1))
+    assert validate_bundle(tmp_path / "floats") == []
+
+
 def test_fatal_ingest_propagates(tmp_path):
     qdir = write_queries(tmp_path)
     empty = tmp_path / "empty.jsonl"

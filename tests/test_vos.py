@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import os
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bibnet import vos
 from bibnet.cli import main
 from bibnet.corpus import Organisation, Publication, build_corpus
 from bibnet.network import Network, build_network
@@ -31,6 +33,7 @@ from bibnet.vos import (
     write_bundle,
 )
 
+import vos_reference
 from gen import make_subset, random_corpus, random_params, random_subset
 
 STAMP = "2022-07-01T00:00:00+00:00"
@@ -232,6 +235,157 @@ def test_integer_fields_follow_json_schema(abc_corpus):
     assert validate_document_dict(data) == [
         "schema: network/links/0/strength: True is not an integer >= 1"
     ]
+
+
+# The differential check of the exact passes: valid documents, mutated row
+# by row, must get the frozen reference's problem list, text and order.
+_PAST_END = object()  # stands for the id one past the last item
+_ROW_VALUES = (True, False, 0, 1, 2, 1.0, 2.0, 2.5, "1", "", None, [], {}, -1, _PAST_END)
+# (action, table, key); "replace" puts a value where a whole row was
+_ROW_MUTATIONS = (
+    *((action, "items", key) for action in ("set", "drop") for key in ("id", "label", "weights")),
+    *((action, "links", key) for action in ("set", "drop")
+      for key in ("source_id", "target_id", "strength")),
+    ("set", "weights", "Documents"), ("drop", "weights", "Documents"),
+    ("set", "weights", "Links"), ("set", "items", "extra"), ("set", "links", "extra"),
+    ("replace", "items", None), ("replace", "links", None),
+    ("swap", "links", None), ("repeat", "links", None), ("repeat_reversed", "links", None),
+    ("self_loop", "links", None), ("weak", "links", None), ("set", "params", "min_edge_weight"),
+)
+
+
+def _document(n: int, links: list[tuple[int, int, int]], min_weight: int) -> dict:
+    """A valid network file of n items and the given (source, target, strength) links."""
+    return {
+        "network": {
+            "items": [
+                {"id": i, "label": f"n{i}", "weights": {"Documents": i}} for i in range(1, n + 1)
+            ],
+            "links": [{"source_id": s, "target_id": t, "strength": w} for s, t, w in links],
+        },
+        "bibnet_meta": {
+            "query_name": "q",
+            "kind": CONCEPT,
+            "params": NetworkParams(max_nodes=10, min_edge_weight=min_weight)._asdict(),
+            "subset_size": n,
+            "generated_at": STAMP,
+            "engine_version": "0.0.0",
+        },
+    }
+
+
+@st.composite
+def _valid_documents(draw) -> dict:
+    n = draw(st.integers(0, 6))
+    min_weight = draw(st.integers(1, 3))
+    pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    strengths = st.integers(min_weight, min_weight + 3)
+    return _document(n, [(s, t, draw(strengths)) for s, t in chosen], min_weight)
+
+
+def _rows(data: dict, table: str) -> list[dict]:
+    if table == "params":
+        return [data["bibnet_meta"]["params"]]
+    if table == "weights":
+        items = _rows(data, "items")
+        return [item["weights"] for item in items if isinstance(item.get("weights"), dict)]
+    return [row for row in data["network"][table] if isinstance(row, dict)]
+
+
+def _mutate_rows(data: dict, mutation: tuple) -> None:
+    (action, table, key), index, value = mutation
+    value = len(data["network"]["items"]) + 1 if value is _PAST_END else copy.copy(value)
+    if action == "replace":
+        rows = data["network"][table]
+        if rows:
+            rows[index % len(rows)] = value
+        return
+    rows = _rows(data, table)
+    if not rows:
+        return
+    row = rows[index % len(rows)]
+    if action == "set":
+        row[key] = value
+    elif action == "drop":
+        row.pop(key, None)
+    elif action == "self_loop":
+        row["target_id"] = row.get("source_id")
+    elif action == "weak":
+        min_weight = data["bibnet_meta"]["params"]["min_edge_weight"]
+        row["strength"] = min_weight - 1 if type(min_weight) is int else 0
+    else:
+        twin = dict(row)
+        if action != "repeat":
+            twin["source_id"], twin["target_id"] = row.get("target_id"), row.get("source_id")
+        if action == "swap":
+            row.update(twin)
+        else:
+            data["network"]["links"].append(twin)
+
+
+_MUTATION_LISTS = st.lists(
+    st.tuples(st.sampled_from(_ROW_MUTATIONS), st.integers(0, 7), st.sampled_from(_ROW_VALUES)),
+    max_size=3,
+)
+
+
+@given(_valid_documents(), _MUTATION_LISTS)
+@settings(max_examples=600, deadline=None)
+def test_validator_matches_the_reference_on_mutated_rows(data, mutations):
+    assert validate_document_dict(data) == []
+    for mutation in mutations:
+        _mutate_rows(data, mutation)
+    assert validate_document_dict(data) == vos_reference.validate_document_dict(data)
+
+
+def test_every_row_mutation_with_every_value_matches_the_reference():
+    outcomes = set()
+    for mutation, value, min_weight in itertools.product(_ROW_MUTATIONS, _ROW_VALUES, (1, 2)):
+        data = _document(3, [(1, 2, 2), (1, 3, 2), (2, 3, 3)], min_weight)
+        _mutate_rows(data, (mutation, 1, value))
+        problems = validate_document_dict(data)
+        assert problems == vos_reference.validate_document_dict(data), (mutation, value)
+        outcomes.add(bool(problems))
+    assert outcomes == {True, False}
+
+
+def test_valid_items_and_links_skip_the_rule_table(fixtures_dir, tmp_path, monkeypatch):
+    # the exact passes accept what a build writes: the rule table checks the
+    # document's top level alone, never an item or a link
+    bundle = tmp_path / "bundle"
+    corpus, queries = str(fixtures_dir / "corpus"), str(fixtures_dir / "queries")
+    build = ["build", "--corpus", corpus, "--queries", queries, "--today", "2022-07-01"]
+    assert main([*build, "--out", str(bundle)]) == 0
+    # a dense_cooc-shaped concept network: 400 nodes, every pair among the first 80
+    dense = VosDocument(
+        items=[(i, f"concept {i}", 1 + i % 7) for i in range(1, 401)],
+        links=[(s, t, 1 + (s * t) % 5) for s in range(1, 81) for t in range(s + 1, 81)],
+        meta={
+            "query_name": "dense", "kind": CONCEPT, "subset_size": 900,
+            "params": NetworkParams(max_nodes=1000, min_edge_weight=1)._asdict(),
+            "generated_at": STAMP, "engine_version": "0.0.0",
+        },
+    )
+    paths = []
+    check_fields = vos._check_fields
+
+    def counting_check_fields(value, fields, path, problems):
+        paths.append(path)
+        return check_fields(value, fields, path, problems)
+
+    monkeypatch.setattr(vos, "_check_fields", counting_check_fields)
+    assert validate_bundle(bundle) == []
+    assert validate_document_dict(json.loads(dumps_document(dense))) == []
+    files = len(list((bundle / "networks").glob("*.json")))
+    top_level = ["", "network", "bibnet_meta", "bibnet_meta/params"]
+    assert sorted(paths) == sorted(top_level * (files + 1))
+    # and the counter sees the rule table when an exact pass declines
+    data = json.loads(dumps_document(dense))
+    data["network"]["items"][0]["id"] = 1.0
+    paths.clear()
+    assert validate_document_dict(data) == []
+    assert "network/items/399" in paths and "network/links/3159" in paths
 
 
 def test_cli_import_leaves_jsonschema_out():
