@@ -17,7 +17,9 @@ Pair weights are counted in one of two ways, whichever costs less for the
 subset, with identical results: by enumerating each publication's pairs of
 nodes, or, when publications list many nodes each, by giving every node a
 bitset of the subset publications it is on and counting the bits two nodes'
-bitsets share. Edges are named tuples, built from the counted rows.
+bitsets share. Only the pairs at or above ``min_edge_weight`` are sorted,
+which orders the rows as sorting every pair and then dropping the light
+ones would. Edges are named tuples, built from the counted rows.
 
 The BigQuery templates rendered by :mod:`bibnet.sqlgen` differ from this
 in their ``top_nodes`` step, which shows once ``max_nodes`` cuts into the
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from bibnet.corpus import CONCEPT_TEXTS, RELEVANCES, RESEARCH_ORGS, Corpus
@@ -99,9 +102,12 @@ def _node_label(corpus: Corpus, kind: str, key: str) -> str:
 def _rank(
     corpus: Corpus, entity_keys: list[tuple[str, ...]], kind: str, params: NetworkParams
 ) -> list[Node]:
-    counts = Counter(chain.from_iterable(entity_keys))
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: params.max_nodes]
-    return [Node(key=key, label=_node_label(corpus, kind, key), pubs=n) for key, n in ranked]
+    ranked = sorted(Counter(chain.from_iterable(entity_keys)).items())  # key ascending
+    ranked.sort(key=itemgetter(1), reverse=True)  # stable: count descending, then key ascending
+    return [
+        Node(key=key, label=_node_label(corpus, kind, key), pubs=n)
+        for key, n in ranked[: params.max_nodes]
+    ]
 
 
 def top_nodes(
@@ -128,11 +134,8 @@ def _pairs_by_enumeration(
             members = [position[key] for key in entities if key in position]
             if len(members) >= 2:
                 pair_counts.update(combinations(sorted(members), 2))
-    return [
-        (keys[i], keys[j], w)
-        for (i, j), w in sorted(pair_counts.items(), reverse=True)  # ascending (a, b)
-        if w >= threshold
-    ]
+    kept = sorted(((i, j, w) for (i, j), w in pair_counts.items() if w >= threshold), reverse=True)
+    return [(keys[i], keys[j], w) for i, j, w in kept]  # ascending (a, b)
 
 
 def _pairs_by_bitsets(

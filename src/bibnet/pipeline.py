@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from bibnet.corpus import IngestReport, StatsReport, corpus_stats, ingest
 from bibnet.network import build_network
-from bibnet.query import eval_query, load_query_folder
+from bibnet.query import QueryBatch, load_query_folder
 from bibnet.version import ENGINE_VERSION
 from bibnet.vos import KINDS, NetworkParams, atomic_write_text, check_kind, now_stamp, to_vos_json
 from bibnet.vos import write_bundle
@@ -93,9 +93,10 @@ def run_all(config: RunConfig) -> RunReport:
 
     skipped = [{"query": failure.name, "reason": failure.error} for failure in folder.failures]
     documents = []
+    evaluate = QueryBatch(corpus, today, folder.queries)
     for query in folder.queries:
         try:
-            subset = eval_query(query, corpus, today)
+            subset = evaluate(query)
             query_docs = [
                 to_vos_json(build_network(corpus, subset, kind, config.params), generated_at=stamp)
                 for kind in config.kinds

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import Counter, defaultdict
 from datetime import date
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Union
 
@@ -428,12 +430,28 @@ _SWAPPED_OPS = {
 }
 
 
+_MULTI_VALUED = (RESEARCH_ORGS, CONCEPT_TEXTS)
+
+
+def _value_test(
+    leaf: Comparison | Membership | DateWindow, today: date
+) -> Callable[[object], bool]:
+    """The test a leaf applies to one stored value of its field."""
+    if isinstance(leaf, Comparison):
+        return partial(_SWAPPED_OPS[leaf.op], leaf.value)
+    if isinstance(leaf, Membership):
+        return frozenset(leaf.values).__contains__
+    # today - days, clamped at date.min (ordinal 1)
+    cutoff = date.fromordinal(max(1, today.toordinal() - leaf.days))
+    return partial(operator.le, cutoff)  # value >= cutoff
+
+
 def _leaf(field: str, test: Callable[[object], bool]) -> _Predicate:
     """Apply ``test`` to a field: a multi-valued field matches if any element
     does, and a missing scalar field fails the leaf."""
     position = FIELDS[field][1]
     get = operator.itemgetter(position)
-    if position in (RESEARCH_ORGS, CONCEPT_TEXTS):
+    if position in _MULTI_VALUED:
         return lambda pub: any(map(test, get(pub)))
 
     def scalar(pub: tuple) -> bool:
@@ -450,40 +468,140 @@ def _compile(expr: Expr, today: date) -> _Predicate:
         # plain loops: any()/all() over a generator cost twice as much here
         terms = tuple(_compile(term, today) for term in expr.terms)
         if expr.op == "OR":
-            def chain(pub: tuple) -> bool:
+            def joined(pub: tuple) -> bool:
                 for term in terms:
                     if term(pub):
                         return True
                 return False
         else:
-            def chain(pub: tuple) -> bool:
+            def joined(pub: tuple) -> bool:
                 for term in terms:
                     if not term(pub):
                         return False
                 return True
-        return chain
+        return joined
     if isinstance(expr, NotExpr):
         operand = _compile(expr.operand, today)
         return lambda pub: not operand(pub)
-    if isinstance(expr, Comparison):
-        return _leaf(expr.field, partial(_SWAPPED_OPS[expr.op], expr.value))
-    if isinstance(expr, Membership):
-        return _leaf(expr.field, frozenset(expr.values).__contains__)
-    if isinstance(expr, DateWindow):
-        # today - days, clamped at date.min (ordinal 1)
-        cutoff = date.fromordinal(max(1, today.toordinal() - expr.days))
-        return _leaf(expr.field, partial(operator.le, cutoff))  # value >= cutoff
+    if isinstance(expr, (Comparison, Membership, DateWindow)):
+        return _leaf(expr.field, _value_test(expr, today))
     raise TypeError(f"not a query expression: {expr!r}")
+
+
+# A field's value table: each stored value -> the ids of the publications
+# holding it. A scalar field's missing value (None) fails every leaf, so it
+# has no entry; a multi-valued field lists each element, None included.
+_Table = dict[object, list[str]]
+
+
+def _value_table(corpus: Corpus, field: str) -> _Table | None:
+    """The value table of ``field``, or None if a stored value is unhashable."""
+    position = FIELDS[field][1]
+    table: _Table = defaultdict(list)  # read only by values it holds
+    try:
+        if position in _MULTI_VALUED:
+            for pid, pub in corpus.publications.items():
+                for value in pub[position]:
+                    table[value].append(pid)
+        else:
+            for pid, pub in corpus.publications.items():
+                value = pub[position]
+                if value is not None:
+                    table[value].append(pid)
+    except TypeError:
+        return None
+    return table
+
+
+def _lookup_fields(expr: Expr) -> set[str]:
+    """The fields of the leaves outside any NOT: those a table could serve."""
+    if isinstance(expr, BoolExpr):
+        return set().union(*map(_lookup_fields, expr.terms))
+    if isinstance(expr, (Comparison, Membership, DateWindow)):
+        return {expr.field}
+    return set()
+
+
+class QueryBatch:
+    """The queries of one run, evaluated over one corpus.
+
+    Call it with each query. A field that two or more of the queries could
+    look up (outside any NOT) gets a value table, built when first needed.
+    A query's candidates are then the publications its tables point to; it
+    tests them, or the whole corpus when it has none, with the one compiled
+    predicate, so it selects what a scan does. A single query builds no
+    table: one costs a pass over the corpus and its memory, never less than
+    the scan it saves.
+    """
+
+    def __init__(self, corpus: Corpus, today: date, queries: list[SubsetQuery]) -> None:
+        self.corpus = corpus
+        self.today = today
+        named = Counter(field for query in queries for field in _lookup_fields(query.ast))
+        self.shared = {field for field, n in named.items() if n >= 2 and field != "id"}
+        self.tables: dict[str, _Table | None] = {}
+
+    def __call__(self, query: SubsetQuery) -> SubsetResult:
+        matches = _compile(query.ast, self.today)
+        pubs = self.corpus.publications
+        found = self._candidates(query.ast)
+        if found is None:
+            ids = frozenset(pid for pid, pub in pubs.items() if matches(pub))
+        else:
+            candidates = pubs.keys() & chain.from_iterable(found)  # in the corpus, each once
+            ids = frozenset(pid for pid in candidates if matches(pubs[pid]))
+        return SubsetResult(ids=ids, query_name=query.name)
+
+    def _table(self, field: str) -> _Table | None:
+        if field not in self.shared:
+            return None
+        if field not in self.tables:
+            self.tables[field] = _value_table(self.corpus, field)
+        return self.tables[field]
+
+    def _candidates(self, expr: Expr) -> list | None:
+        """Id collections whose union holds every publication ``expr``
+        selects, or None for all: table entries for a leaf on a tabled
+        field, the listed ids for ``id IN``/``id ==``, the smallest of an
+        AND's terms (by entry lengths), and the union of an OR's if each
+        term has some. NOT and any other leaf have none."""
+        if isinstance(expr, BoolExpr):
+            found = [self._candidates(term) for term in expr.terms]
+            if expr.op == "AND":
+                known = [c for c in found if c is not None]
+                return min(known, key=lambda c: sum(map(len, c))) if known else None
+            return None if None in found else list(chain.from_iterable(found))
+        if isinstance(expr, NotExpr):
+            return None
+        if isinstance(expr, Membership):
+            values = expr.values
+        elif isinstance(expr, Comparison) and expr.op == "==":
+            values = (expr.value,)
+        else:  # tested value by value
+            values = None
+        try:
+            if expr.field == "id":
+                ids = self.corpus.publications
+                return None if values is None else [[v for v in values if v in ids]]
+            table = self._table(expr.field)
+            if table is None:
+                return None
+            if values is not None:
+                return [table[v] for v in values if v in table]
+            test = _value_test(expr, self.today)
+            return [entry for value, entry in table.items() if test(value)]
+        except TypeError:  # a literal or stored value the test cannot take: scan
+            return None
 
 
 def eval_query(query: SubsetQuery, corpus: Corpus, today: date) -> SubsetResult:
     """Evaluate a parsed query; total, depends only on (query, corpus, today).
 
-    Costs one pass over the corpus plus one pass over the query.
+    The :class:`QueryBatch` of this query alone, which builds no table: one
+    pass over the corpus plus one pass over the query. A build evaluates its
+    queries together, through tables, and selects the same publications.
     """
-    matches = _compile(query.ast, today)
-    ids = frozenset(pid for pid, pub in corpus.publications.items() if matches(pub))
-    return SubsetResult(ids=ids, query_name=query.name)
+    return QueryBatch(corpus, today, [query])(query)
 
 
 # --- Query folders -----------------------------------------------------------

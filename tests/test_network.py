@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibnet.corpus import (
@@ -32,6 +32,7 @@ from bibnet.network import (
 from bibnet.vos import CONCEPT, KINDS, ORGANISATION, NetworkParams
 
 from gen import make_subset, random_corpus, random_params, random_subset
+from network_reference import reference_pairs_by_enumeration, reference_rank
 from oracle import brute_force_network
 
 
@@ -411,3 +412,32 @@ def test_build_is_deterministic(seed):
         assert build_network(corpus, subset, kind, params) == build_network(
             corpus, subset, kind, params
         )
+
+
+# --- the sorts against their first form -----------------------------------------
+
+# a few keys, so counts tie often; ASCII and non-ASCII, whose code points
+# order "Z" < "a" < "é" < "日"
+SORT_KEYS = st.sampled_from(["a", "ab", "a b", "Z", "é", "e\u0301", "日本", "\U0001f600", "ü"])
+ENTITY_KEYS = st.lists(st.lists(SORT_KEYS, unique=True, max_size=6).map(tuple), max_size=30)
+ONE_PUB = build_corpus([Publication(id="p")], [])  # concept labels are their keys
+
+
+@given(ENTITY_KEYS, st.integers(1, 12))
+@example([("é",), ("b",), ("a",), ("a",)], 2)  # a tie at the cap: b beats é
+@example([("日本", "é"), ("Z",)], 5)  # the cap above the candidate count
+@settings(max_examples=300, deadline=None)
+def test_rank_orders_as_the_reference_sort(entity_keys, max_nodes):
+    params = NetworkParams(max_nodes=max_nodes)
+    nodes = _rank(ONE_PUB, entity_keys, CONCEPT, params)
+    assert [(n.key, n.pubs) for n in nodes] == reference_rank(entity_keys, max_nodes)
+
+
+@given(ENTITY_KEYS, st.integers(1, 12), st.sampled_from([1, 2, 3]))
+@example([("a", "b"), ("a", "b"), ("a", "é"), ("b", "é", "Z")], 3, 2)
+@settings(max_examples=300, deadline=None)
+def test_enumerated_pairs_are_the_reference_rows(entity_keys, max_nodes, threshold):
+    keys = sorted((key for key, _ in reference_rank(entity_keys, max_nodes)), reverse=True)
+    assert _pairs_by_enumeration(entity_keys, keys, threshold) == reference_pairs_by_enumeration(
+        entity_keys, keys, threshold
+    )

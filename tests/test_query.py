@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bibnet import query as query_module
 from bibnet.cli import main
 from bibnet.corpus import (
     CONCEPT_TEXTS,
@@ -28,6 +29,7 @@ from bibnet.query import (
     Membership,
     NoRunnableQueriesError,
     NotExpr,
+    QueryBatch,
     QueryError,
     QuerySyntaxError,
     QueryTypeError,
@@ -570,3 +572,139 @@ def test_compiled_evaluation_matches_reference(seed):
     for expr in exprs:
         got = eval_query(as_query(expr), corpus, TODAY).ids
         assert got == reference_ids(expr, corpus, TODAY), print_query(expr)
+
+
+# --- runs of queries -----------------------------------------------------------
+
+
+def tabled_leaves(rng: random.Random, corpus) -> list[Expr]:
+    """Leaves the random ASTs reach only by chance, each on a field a table
+    can serve: != on multi-valued fields (repeated org listings included),
+    ordered comparisons on year and date_inserted, a window whose bound falls
+    exactly on a stored date, NOT around a tabled leaf, ids() naming ids the
+    corpus lacks, and fields that some publications miss."""
+    pubs = list(corpus.publications.values())
+    pub = rng.choice(pubs)
+    leaves = [
+        Comparison("research_orgs", "!=", rng.choice(pub[RESEARCH_ORGS] or ("grid.1000.0",))),
+        Comparison("concept", "!=", pub[CONCEPT_TEXTS][0] if pub[CONCEPT_TEXTS] else "topic-0"),
+        Comparison("year", rng.choice(["<", "<=", ">", ">="]), rng.randint(2017, 2024)),
+        Comparison("date_inserted", rng.choice(["<", "<=", ">", ">=", "=="]),
+                   pub[DATE_INSERTED] or date(2022, 2, 1)),
+        NotExpr(Comparison("research_orgs", "==", rng.choice(pub[RESEARCH_ORGS] or ("grid.x0",)))),
+        Membership("id", ("pub.0", "pub.99", "absent", pub[0])),
+        Comparison("journal_title", "!=", "Nature"),
+        Membership("doc_type", ("article", "preprint")),
+    ]
+    earlier = [p[DATE_INSERTED] for p in pubs if p[DATE_INSERTED] and p[DATE_INSERTED] < TODAY]
+    if earlier:
+        leaves.append(DateWindow("date_inserted", (TODAY - rng.choice(earlier)).days))
+    return leaves
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_run_of_queries_selects_what_the_reference_does(seed):
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, max_pubs=30)
+    pool = [random_expr(rng, rng.randint(0, 3)) for _ in range(3)] + tabled_leaves(rng, corpus)
+    base = rng.sample(pool, rng.randint(1, 3))
+    # each expression alone and in an AND with the next: every field used is
+    # named by two or more of the 2 to 6 queries, so each gets a table
+    exprs = base + [BoolExpr("AND", (e, base[(i + 1) % len(base)])) for i, e in enumerate(base)]
+    queries = [as_query(expr, name=f"q{i}") for i, expr in enumerate(exprs)]
+    evaluate = QueryBatch(corpus, TODAY, queries)
+    for query in queries:
+        got = evaluate(query)
+        assert got.query_name == query.name
+        assert got.ids == reference_ids(query.ast, corpus, TODAY), print_query(query.ast)
+    assert all(table is not None for table in evaluate.tables.values())
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The fields whose value tables are built, in order."""
+    built = []
+    build = query_module._value_table
+
+    def counted(corpus, field):
+        built.append(field)
+        return build(corpus, field)
+
+    monkeypatch.setattr(query_module, "_value_table", counted)
+    return built
+
+
+def write_queries(folder, texts: dict[str, str]):
+    folder.mkdir()
+    for name, text in texts.items():
+        (folder / f"{name}.nql").write_text(text + "\n", encoding="utf-8")
+    return folder
+
+
+def test_tables_are_built_only_for_fields_two_queries_look_up(fixtures_dir, tmp_path, table_builds):
+    corpus, _ = ingest([fixtures_dir / "corpus"])
+    org = next(orgs[0] for orgs in (p[RESEARCH_ORGS] for p in corpus.publications.values()) if orgs)
+    texts = {
+        "orgs": f'research_orgs == "{org}"',
+        "orgs-recent": f'research_orgs IN ("{org}", "grid.none") AND year >= 2021',
+    }
+    # one query, evaluated alone or as a whole build, scans
+    alone = parse_query(texts["orgs-recent"])
+    assert eval_query(alone, corpus, TODAY).ids == reference_ids(alone.ast, corpus, TODAY)
+    run = ["--corpus", str(fixtures_dir / "corpus"), "--today", TODAY.isoformat()]
+    queries = write_queries(tmp_path / "one", {"orgs-recent": texts["orgs-recent"]})
+    assert main(["build", *run, "--queries", str(queries), "--out", str(tmp_path / "a")]) == 0
+    assert table_builds == []
+    # two queries name research_orgs and one names year: one table
+    queries = write_queries(tmp_path / "two", texts)
+    assert main(["build", *run, "--queries", str(queries), "--out", str(tmp_path / "b")]) == 0
+    assert table_builds == ["research_orgs"]
+    report = json.loads((tmp_path / "b" / "run_report.json").read_text("utf-8"))
+    sizes = {network["query"]: network["subset_size"] for network in report["networks"]}
+    for name, text in texts.items():
+        assert sizes[name] == len(reference_ids(parse_query(text).ast, corpus, TODAY)) > 0
+
+
+def test_a_field_named_only_under_not_gets_no_table(table_builds):
+    corpus = corpus_with_dates({"p1": "2022-04-15", "p2": None})
+    queries = [as_query(NotExpr(DateWindow("date_inserted", 30)), name=f"q{i}") for i in range(2)]
+    evaluate = QueryBatch(corpus, TODAY, queries)
+    assert [evaluate(query).ids for query in queries] == [{"p2"}, {"p2"}]
+    assert table_builds == []
+
+
+def test_a_value_a_table_cannot_hold_leaves_its_field_to_the_scan(table_builds):
+    # the unvalidated constructor stores what it is given, lists included
+    pubs = [
+        Publication(id="p1", journal_title=["Nature"], concepts=((["covid"], 0.5), ("flu", 0.5))),
+        Publication(id="p2", journal_title="Nature", concepts=(("covid", 0.5),)),
+    ]
+    corpus = build_corpus(pubs, [])
+    exprs = [
+        Comparison("journal_title", "==", "Nature"),
+        Comparison("journal_title", "!=", "Science"),
+        Comparison("concept", "!=", "covid"),
+        Comparison("concept", "==", "flu"),
+    ]
+    queries = [as_query(expr, name=f"q{i}") for i, expr in enumerate(exprs)]
+    evaluate = QueryBatch(corpus, TODAY, queries)
+    for query in queries:
+        assert evaluate(query).ids == reference_ids(query.ast, corpus, TODAY)
+    assert table_builds == ["journal_title", "concept"]
+    assert evaluate.tables == {"journal_title": None, "concept": None}
+
+
+def test_a_table_never_turns_a_query_into_an_error():
+    # a stored year that no int orders against: the scan never reaches it,
+    # since the AND's first term fails on every publication
+    pubs = [Publication(id="p1", year="2020", doc_type="article"), Publication(id="p2", year=2019)]
+    corpus = build_corpus(pubs, [])
+    queries = [
+        as_query(BoolExpr("AND", (Comparison("doc_type", "==", "preprint"),
+                                  Comparison("year", "<", 2020))), name="a"),
+        as_query(Comparison("year", "==", 2019), name="b"),
+    ]
+    evaluate = QueryBatch(corpus, TODAY, queries)
+    assert [evaluate(query).ids for query in queries] == [frozenset(), {"p2"}]
+    assert evaluate.tables["year"] is not None
