@@ -11,7 +11,9 @@ is scanned for regular files with one of these suffixes; a file named
 explicitly with any other suffix is fatal before any file is read.
 
 * JSONL: one record per line, UTF-8. Records carrying a ``name`` field are
-  organisations; everything else is a publication.
+  organisations; everything else is a publication. A line is blank only when
+  JSON's own whitespace (space, tab, CR, LF) is all it holds; a line of any
+  other whitespace is a malformed record.
 * CSV: the first non-blank row is the header. A header containing ``name``
   marks an organisation file. A row whose cell count differs from the
   header's is skipped. List-valued cells are ``;``-delimited; concept cells
@@ -255,7 +257,10 @@ def _coerce_org_list(value, text: dict[str, str]) -> tuple[str, ...]:
 def _coerce_relevance(value, relevances: dict[float, float]) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _RecordError(f"concept relevance must be a number, got {value!r}")
-    rel = float(value)
+    try:
+        rel = float(value)
+    except OverflowError:  # an integer past the float range, from JSON
+        raise _RecordError(f"concept relevance {value} outside [0, 1]") from None
     if not 0.0 <= rel <= 1.0:
         raise _RecordError(f"concept relevance {rel} outside [0, 1]")
     # 0.0 == -0.0, so zero is not shared: a -0.0 stays -0.0
@@ -356,22 +361,55 @@ def read_text(path: str | Path) -> str:
     return "".join(_lines(Path(path)))
 
 
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
+# The C scanner behind json.loads, called on each line directly: json.loads
+# adds a Python-level wrapper and two whitespace matches to every line.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str) -> dict:
+    """The record on a JSONL line, as ``json.loads`` reads it; raises
+    :class:`_RecordError` worded as the skip's reason."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _RecordError(f"invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise _RecordError(f"invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise _RecordError("record is not an object")
+    return record
+
+
+def _iter_jsonl(
+    path: Path, report: IngestReport, shared: _Shared
+) -> Iterator[tuple | Organisation]:
+    """The valid records of a JSONL file, in order; every other line but a
+    blank one is skipped and counted in ``report``."""
+    source = str(path)
     for line_no, line in enumerate(_lines(path), start=1):
-        if not line.strip():
-            continue
+        # An object that fills the line, up to its newline, is taken from the
+        # scanner as is. Any other line (whitespace around the value, trailing
+        # data, a non-object, an error) goes through json.loads, so a reason
+        # reads as json.loads words it.
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            yield line_no, _RecordError(f"invalid JSON: {exc.msg}"), False
+            record, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            record = None
+        if type(record) is not dict or (end != len(line) and line[end] != "\n"):
+            # only JSON's own whitespace makes a line blank: a line of any
+            # other (a form feed, U+3000) is a counted skip
+            if not line.strip(" \t\r\n"):
+                continue
+            record = None
+        report.rows_total += 1
+        try:
+            if record is None:
+                record = _decode_line(line)
+            row = (parse_organisation if "name" in record else parse_publication)(record, shared)
+        except _RecordError as exc:
+            report.record_skip(source, line_no, str(exc))
             continue
-        except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
-            yield line_no, _RecordError(f"invalid JSON: {exc}"), False
-            continue
-        if not isinstance(record, dict):
-            yield line_no, _RecordError("record is not an object"), False
-            continue
-        yield line_no, record, "name" in record
+        yield row
 
 
 def _split_list_cell(cell: str) -> list[str]:
@@ -407,22 +445,29 @@ def _csv_to_record(header: list[str], cells: list[str], is_org_file: bool) -> di
     return record
 
 
-def _iter_csv(path: Path) -> Iterator[tuple[int, dict | _RecordError, bool]]:
+def _iter_csv(path: Path, report: IngestReport, shared: _Shared) -> Iterator[tuple | Organisation]:
+    """The valid records of a CSV file, in order; malformed rows are skipped
+    and counted in ``report``."""
     rows = csv.reader(_lines(path, newline=""))
     header = next((cells for cells in rows if cells), [])  # leading blank lines are skipped
     for n, column in enumerate(header):
         if column in header[:n]:
             raise CorpusError(f"{path}: CSV header names column {column!r} twice")
     is_org_file = "name" in header
+    parse = parse_organisation if is_org_file else parse_publication
+    source = str(path)
     # a row is numbered by the physical line it starts on: blank lines and
     # the extra lines of quoted multi-line cells count
     line_no = rows.line_num + 1
     for cells in rows:
         if cells:
+            report.rows_total += 1
             try:
-                yield line_no, _csv_to_record(header, cells, is_org_file), is_org_file
+                row = parse(_csv_to_record(header, cells, is_org_file), shared)
             except _RecordError as exc:
-                yield line_no, exc, is_org_file
+                report.record_skip(source, line_no, str(exc))
+            else:
+                yield row
         line_no = rows.line_num + 1
 
 
@@ -489,18 +534,8 @@ def _parse_files(files: list[Path], report: IngestReport) -> Iterator[tuple | Or
     """Valid records of every file in order; malformed rows are skipped and
     counted in ``report``. Repeated values are stored once across all files."""
     shared = _Shared()
-    for path in files:
-        source = str(path)
-        for line_no, item, is_org in _READERS[path.suffix.lower()](path):
-            report.rows_total += 1
-            try:
-                if isinstance(item, _RecordError):
-                    raise item
-                record = (parse_organisation if is_org else parse_publication)(item, shared)
-            except _RecordError as exc:
-                report.record_skip(source, line_no, str(exc))
-                continue
-            yield record
+    readers = (_READERS[path.suffix.lower()](path, report, shared) for path in files)
+    return chain.from_iterable(readers)
 
 
 def ingest(paths: Iterable[str | Path]) -> tuple[Corpus, IngestReport]:
@@ -516,7 +551,8 @@ def ingest(paths: Iterable[str | Path]) -> tuple[Corpus, IngestReport]:
     # The corpus holds no reference cycles. The collector untracks its rows
     # anyway, but its full collections would each traverse the ever-growing
     # publications dict; paused, it makes one pass over the new objects when
-    # re-enabled, which costs less at a million publications.
+    # re-enabled, which costs less at a million publications. ``run_all``
+    # spares even that pass by freezing them; a library call freezes nothing.
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -7,12 +7,13 @@ query and is written as ``run_report.json`` inside the output bundle.
 
 from __future__ import annotations
 
+import gc
 import json
 from datetime import date
 from pathlib import Path
 from typing import NamedTuple
 
-from bibnet.corpus import IngestReport, StatsReport, corpus_stats, ingest
+from bibnet.corpus import Corpus, IngestReport, StatsReport, corpus_stats, ingest
 from bibnet.network import build_network
 from bibnet.query import QueryBatch, load_query_folder
 from bibnet.version import ENGINE_VERSION
@@ -85,8 +86,33 @@ class RunReport(NamedTuple):
 
 
 def run_all(config: RunConfig) -> RunReport:
-    """Run the full pipeline; fatal ingest/folder errors propagate."""
-    corpus, ingest_report = ingest(config.corpus_paths)
+    """Run the full pipeline; fatal ingest/folder errors propagate.
+
+    The corpus lives for the whole run and holds no reference cycles, so the
+    cyclic collector is paused while it is ingested and everything it built
+    is then frozen (``gc.freeze``): no collection during the run traverses
+    it. The freeze is undone and the collector left as it was found on
+    return, whether the run succeeds or fails. When objects are frozen
+    already on entry (by the caller, say), nothing is frozen or unfrozen.
+    """
+    enabled = gc.isenabled()
+    freeze = gc.get_freeze_count() == 0
+    gc.disable()
+    try:
+        corpus, ingest_report = ingest(config.corpus_paths)
+        if freeze:
+            gc.freeze()
+        if enabled:
+            gc.enable()
+        return _run(config, corpus, ingest_report)
+    finally:
+        if freeze:
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _run(config: RunConfig, corpus: Corpus, ingest_report: IngestReport) -> RunReport:
     folder = load_query_folder(config.query_dir)
     today = config.today if config.today is not None else date.today()
     stamp = now_stamp()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,18 @@ def abc_corpus():
 def fixtures_dir() -> Path:
     assert FIXTURES_DIR.is_dir(), "run scripts/gen_fixtures.py to regenerate fixtures"
     return FIXTURES_DIR
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the cyclic collector back as the test found it: enabled or not,
+    and with nothing left frozen that the test froze."""
+    enabled = gc.isenabled()
+    frozen = gc.get_freeze_count()
+    yield
+    if not frozen:
+        gc.unfreeze()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()

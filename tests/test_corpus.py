@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import math
@@ -9,6 +10,8 @@ from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibnet.cli import main
 from bibnet.corpus import (
@@ -22,13 +25,16 @@ from bibnet.corpus import (
     CorpusError,
     DuplicateIdError,
     EmptyCorpusError,
+    IngestReport,
     Publication,
+    _parse_files,
     _Shared,
     corpus_stats,
     ingest,
     parse_publication,
 )
 
+import corpus_reference
 from gen import random_corpus
 
 PUBS = [
@@ -228,16 +234,6 @@ def test_known_concept_values_parse_as_the_checks_do(mentions, expected):
         assert all(text is shared.text[text] for text in row[CONCEPT_TEXTS])
     if expected == (("masks",), (-0.0,)):
         assert math.copysign(1.0, row[RELEVANCES][0]) == -1.0
-
-
-@pytest.fixture
-def collector_state():
-    enabled = gc.isenabled()
-    yield
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -486,6 +482,34 @@ def test_invalid_json_line_is_skipped_and_counted(tmp_path):
     assert report.rows_total == 6
 
 
+@pytest.mark.parametrize(
+    "blank", ["\x0c", "\u3000", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\x0b"]
+)
+def test_a_line_of_other_whitespace_is_a_counted_skip(tmp_path, blank):
+    # only space, tab, CR and LF make a JSONL line blank: they are JSON's own whitespace
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f'{{"id":"p1"}}\n{blank}\n \t\r\n\n{blank} \n{{"id":"p2"}}', encoding="utf-8")
+    corpus, report = ingest([path])
+    assert sorted(corpus.publications) == ["p1", "p2"]
+    assert (report.rows_total, report.skipped) == (4, 2)
+    assert report.skip_reasons == [
+        f"{path}:2: invalid JSON: Expecting value",
+        f"{path}:5: invalid JSON: Expecting value",
+    ]
+
+
+def test_an_integer_relevance_past_the_float_range_is_a_skip(tmp_path):
+    big = "1" + "0" * 400  # JSON builds it; float() cannot take it
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        f'{{"id":"p1","concepts":[{{"concept":"x","relevance":-{big}}}]}}\n{{"id":"p2"}}\n',
+        encoding="utf-8",
+    )
+    corpus, report = ingest([path])
+    assert sorted(corpus.publications) == ["p2"]
+    assert report.skip_reasons == [f"{path}:1: concept relevance -{big} outside [0, 1]"]
+
+
 def test_valid_plus_skipped_equals_total_rows(tmp_path):
     rng = random.Random(7)
     records = []
@@ -546,3 +570,266 @@ def test_random_corpus_generator_is_well_formed():
                 assert 0.0 <= relevance <= 1.0
         for oid in corpus.unresolved_orgs:
             assert oid not in corpus.organisations
+
+
+# --- the readers against the reference copy in corpus_reference.py ---------
+
+_TEXTS = st.sampled_from(
+    ["p1", "p2", " grid.1 ", "grid.2", "Masks", "", "2021-05-01", "2021-05-01T08:00:00Z",
+     "20210101", "article", "Preprint", "US", "GBR", "Alpha University"]
+)
+_SCALARS = st.one_of(
+    st.none(), _TEXTS, st.sampled_from([0, 1, -1, 2021, -0.0, 0.5, 1.5, True, math.nan, math.inf])
+)
+_RECORDS = st.fixed_dictionaries(
+    {"id": st.one_of(_TEXTS, st.just(7))},
+    optional={
+        "title": _SCALARS,
+        "year": _SCALARS,
+        "date_inserted": _SCALARS,
+        "journal_title": _SCALARS,
+        "doc_type": _SCALARS,
+        "research_orgs": st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+        "concepts": st.one_of(
+            _SCALARS,
+            st.lists(
+                st.one_of(
+                    st.fixed_dictionaries({"concept": _SCALARS, "relevance": _SCALARS}), _SCALARS
+                ),
+                max_size=3,
+            ),
+        ),
+        "name": _SCALARS,
+        "country_code": _SCALARS,
+    },
+)
+_EDGE_LINES = [
+    "", " ", "\t", "\x0c", "\u3000", "\x85", "\xa0", "\x1f", "\u2028",
+    "{} x", "{}{}", "{}\x0c", "[1]", "NaN", "1", '"s"', "null", "{", '{"id": "p1",}',
+    '{"id": "p1", "id": "p2"}',
+    '{"id": "grid.9", "name": "Nine", "name": ""}',
+    '{"id": "big", "year": ' + "9" * 5000 + "}",
+    '{"id": "deep", "concepts": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"id": "ctl\x01"}',
+    '\ufeff{"id": "bom"}',
+    '{"id": "\\ud800"}',
+]
+_LINES = st.one_of(
+    _RECORDS.map(json.dumps),
+    st.sampled_from(_EDGE_LINES),
+    # whitespace or data around a record
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "\x0c"]),
+        _RECORDS.map(json.dumps),
+        st.sampled_from(["", " ", "\t", "\x0c", " x", "{}"]),
+    ).map("".join),
+)
+_JSONL_FILES = st.lists(
+    st.tuples(
+        st.lists(_LINES, max_size=8),
+        st.sampled_from(["\n", "\r\n", "\r"]),  # the line break
+        st.booleans(),  # whether the last line ends in one
+    ),
+    min_size=1,
+    max_size=2,
+)
+_CSV_CELLS = st.sampled_from(
+    ["p1", "", " 2021 ", "+2021", "grid.1; grid.2", "masks:0.5;virus:1", "masks:nan", "x", "US"]
+)
+_CSV_FILES = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from(
+            [["id", "year", "research_orgs", "concepts"], ["id", "name", "country_code"],
+             ["id", "year", "year"]]
+        ),
+        st.lists(st.lists(_CSV_CELLS, max_size=5), max_size=5),
+    ),
+)
+
+
+def _reader_outcome(parse_files, files):
+    report = IngestReport(files=[str(path) for path in files])
+    try:
+        rows = list(parse_files(files, report))
+    except CorpusError as exc:
+        return type(exc), str(exc)
+    return repr(rows), vars(report)
+
+
+@given(_JSONL_FILES, _CSV_FILES)
+@settings(max_examples=300, deadline=None)
+def test_readers_match_the_reference_row_for_row(tmp_path_factory, jsonl_files, csv_file):
+    work = tmp_path_factory.mktemp("readers")
+    files = []
+    for n, (lines, line_break, last_break) in enumerate(jsonl_files):
+        path = work / f"part{n}.jsonl"
+        text = line_break.join(lines) + (line_break if last_break and lines else "")
+        path.write_bytes(text.encode("utf-8"))
+        files.append(path)
+    if csv_file is not None:
+        path = work / "more.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([csv_file[0], *csv_file[1]])
+        files.append(path)
+    expected = _reader_outcome(corpus_reference._parse_files, files)
+    assert _reader_outcome(_parse_files, files) == expected
+
+
+# --- the JSONL reader against the CSV reader, on records both can express ---
+
+# Text a CSV list cell can hold: no ';', no NUL, nothing UTF-8 cannot encode.
+_LIST_TEXT = st.one_of(
+    st.sampled_from(["masks", " Masks ", "grid.1", "a:b", "", " ", "\x0c", "Ärzte"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00;"), max_size=6),
+)
+_CELL_TEXT = st.one_of(_LIST_TEXT, st.just("a;b"))
+_DATES = st.one_of(
+    st.sampled_from(["2021-05-01", "2021-05-01T08:00:00Z", "2021-05-01 08:00", " 2021-05-01"]),
+    st.sampled_from(["20210101", "2021-W01-1", "2021-02-30", "2021-5-1", ""]),
+    _CELL_TEXT,
+)
+
+
+def _padded(token: str):
+    """A number token with JSON whitespace around it, which both readers allow."""
+    pad = st.sampled_from(["", " ", "\t"])
+    return st.tuples(pad, st.just(token), pad).map("".join)
+
+
+# Each token is written verbatim as the JSON value and as the CSV cell: a
+# number as json.dumps writes it, or a text neither reader takes as one.
+_YEAR_TOKENS = st.one_of(
+    st.integers().map(json.dumps).flatmap(_padded),
+    st.sampled_from(
+        ["+2021", "2_021", "\u0662\u0660\u0662\u0661", "2021.0", "2e3", "-", "true", "9" * 5000]
+    ),
+)
+_RELEVANCE_TOKENS = st.one_of(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.0).map(json.dumps), st.sampled_from(["0", "1"])
+    ).flatmap(_padded),
+    st.floats().map(json.dumps),
+    st.sampled_from(
+        ["-1", "2", "+0.5", ".5", "5.", "00.5", "0.0_5", "\u0660.\u0669", "0x1", "1e", "5E-1",
+         "1E+0", "true", "1" + "0" * 400, None]  # None: no relevance
+    ),
+)
+_PUBLICATION_FIELDS = st.fixed_dictionaries(
+    {"id": st.one_of(st.sampled_from(["p1", " p1 ", "pub.2"]), _CELL_TEXT)},
+    optional={
+        "title": _CELL_TEXT,
+        "year": _YEAR_TOKENS,
+        "date_inserted": _DATES,
+        "journal_title": _CELL_TEXT,
+        "doc_type": st.one_of(st.sampled_from(["article", " Preprint "]), _CELL_TEXT),
+        "research_orgs": st.lists(_LIST_TEXT, max_size=3),
+        "concepts": st.lists(st.tuples(_LIST_TEXT, _RELEVANCE_TOKENS), max_size=3),
+    },
+)
+_ORGANISATION_FIELDS = st.fixed_dictionaries(
+    {"id": _CELL_TEXT, "name": _CELL_TEXT},
+    optional={"country_code": st.one_of(st.sampled_from(["US", "GBR"]), _CELL_TEXT)},
+)
+def _jsonl_line(fields: dict) -> str:
+    values = []
+    for key, value in fields.items():
+        if key == "year":  # a token, written as is
+            text = value
+        elif key == "concepts":
+            mentions = [
+                f'{{"concept": {json.dumps(concept)}'
+                + ("" if relevance is None else f', "relevance": {relevance}')
+                + "}"
+                for concept, relevance in value
+            ]
+            text = "[" + ", ".join(mentions) + "]"
+        else:
+            text = json.dumps(value)
+        values.append(f"{json.dumps(key)}: {text}")
+    return "{" + ", ".join(values) + "}\n"
+
+
+def _csv_cell(key: str, value) -> str:
+    if key == "research_orgs":
+        return ";".join(value)
+    if key == "concepts":
+        return ";".join(
+            f"{concept}:{'' if relevance is None else relevance}" for concept, relevance in value
+        )
+    return value
+
+
+def _read_one(path: Path):
+    report = IngestReport()
+    rows = list(_parse_files([path], report))
+    assert report.rows_total == 1 and report.skipped == 1 - len(rows)
+    return rows, report.skip_reasons
+
+
+@given(st.one_of(_PUBLICATION_FIELDS, _ORGANISATION_FIELDS))
+@settings(max_examples=400, deadline=None)
+def test_jsonl_and_csv_read_a_record_alike(tmp_path_factory, fields):
+    work = tmp_path_factory.mktemp("formats")
+    jsonl = work / "record.jsonl"
+    jsonl.write_text(_jsonl_line(fields), encoding="utf-8")
+    header = (
+        ["id", "name", "country_code"]
+        if "name" in fields
+        else ["id", "title", "year", "date_inserted", "journal_title", "doc_type",
+              "research_orgs", "concepts"]
+    )
+    table = work / "record.csv"
+    with table.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, [_csv_cell(k, fields.get(k, "")) for k in header]])
+    jsonl_rows, _ = _read_one(jsonl)
+    csv_rows, _ = _read_one(table)
+    # both skip the record, or both keep equal rows; repr tells -0.0 from 0.0
+    assert repr(jsonl_rows) == repr(csv_rows)
+
+
+# Where the two readers part, pinned: (JSONL line, CSV file, and what each
+# gives: its skip reason, or the row it keeps).
+KNOWN_FORMAT_DIFFERENCES = [
+    # NaN is a token Python's JSON reads, and out of range; a CSV relevance
+    # must be an RFC 8259 number, which NaN is not. Both skip, for different reasons.
+    pytest.param(
+        '{"id": "p1", "concepts": [{"concept": "x", "relevance": NaN}]}',
+        "id,concepts\np1,x:NaN\n",
+        "concept relevance nan outside [0, 1]",
+        "concept relevance 'NaN' is not a number",
+        id="nan-relevance",
+    ),
+    # JSON reads -0 as the integer zero, whose float is 0.0; float("-0") is -0.0
+    pytest.param(
+        '{"id": "p1", "concepts": [{"concept": "x", "relevance": -0}]}',
+        "id,concepts\np1,x:-0\n",
+        Publication("p1", concepts=[("x", 0.0)]),
+        Publication("p1", concepts=[("x", -0.0)]),
+        id="negative-zero-relevance",
+    ),
+    # a JSON number has no leading zeros; a CSV year is any ASCII digits
+    pytest.param(
+        '{"id": "p1", "year": 02021}',
+        "id,year\np1,02021\n",
+        "invalid JSON: Expecting ',' delimiter",
+        Publication("p1", year=2021),
+        id="leading-zero-year",
+    ),
+]
+
+
+@pytest.mark.parametrize("line, table_text, jsonl_outcome, csv_outcome", KNOWN_FORMAT_DIFFERENCES)
+def test_known_differences_between_jsonl_and_csv(
+    tmp_path, line, table_text, jsonl_outcome, csv_outcome
+):
+    jsonl = tmp_path / "record.jsonl"
+    jsonl.write_text(line + "\n", encoding="utf-8")
+    table = tmp_path / "record.csv"
+    table.write_text(table_text, encoding="utf-8")
+    for path, line_no, outcome in [(jsonl, 1, jsonl_outcome), (table, 2, csv_outcome)]:
+        rows, reasons = _read_one(path)
+        if isinstance(outcome, str):
+            assert reasons == [f"{path}:{line_no}: {outcome}"]
+        else:
+            assert repr(rows) == repr([outcome])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -9,6 +10,7 @@ from datetime import date
 
 import pytest
 
+from bibnet import pipeline
 from bibnet.cli import main
 from bibnet.corpus import EmptyCorpusError
 from bibnet.pipeline import RunConfig, run_all
@@ -183,6 +185,42 @@ def test_fatal_ingest_propagates(tmp_path):
     empty.write_text('{"id": "g1", "name": "Org"}\n', encoding="utf-8")
     with pytest.raises(EmptyCorpusError):
         run_all(make_config(tmp_path, corpus_paths=(str(empty),), query_dir=str(qdir)))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("caller_froze", [False, True])
+@pytest.mark.parametrize("outcome", ["ok", "empty"])
+def test_run_all_leaves_the_collector_as_it_found_it(
+    tmp_path, monkeypatch, collector_state, enabled, caller_froze, outcome
+):
+    pubs = [{"id": "g1", "name": "Org"}] if outcome == "empty" else None
+    config = make_config(tmp_path, corpus_paths=(str(write_corpus(tmp_path, pubs)),))
+    during = []
+    real_load = pipeline.load_query_folder
+
+    def load_query_folder(path):  # the first step after ingest
+        during.append((gc.isenabled(), gc.get_freeze_count()))
+        return real_load(path)
+
+    monkeypatch.setattr(pipeline, "load_query_folder", load_query_folder)
+    if caller_froze:
+        gc.freeze()
+    frozen = gc.get_freeze_count()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if outcome == "ok":
+        run_all(config)
+        # the corpus was frozen for the run, unless objects were frozen already
+        # (by the caller; Python 3.12.1 also starts with some frozen)
+        assert len(during) == 1 and during[0][0] is enabled
+        assert (during[0][1] > frozen) is (frozen == 0)
+    else:
+        with pytest.raises(EmptyCorpusError):
+            run_all(config)
+    assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen
 
 
 def test_run_report_is_replaced_atomically(tmp_path, monkeypatch):
