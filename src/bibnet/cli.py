@@ -13,7 +13,6 @@ but produced zero networks. ``main`` alone turns a fatal error into one
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from datetime import date
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from bibnet.version import ENGINE_VERSION
 from bibnet.vos import KIND_SLUGS, KINDS, BundleLockError, NetworkParams, normalize_kind
-from bibnet.vos import validate_bundle
+from bibnet.vos import json_text, validate_bundle
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -135,9 +134,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     stats = corpus_stats(corpus)
     if args.report:
         payload = {"ingest": vars(report), "stats": stats._asdict()}
-        Path(args.report).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        Path(args.report).write_text(json_text(payload), encoding="utf-8")
     print(report.summary())
     print(
         f"corpus: {stats.publications} publications, {stats.organisations} organisations, "
@@ -180,7 +177,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
             dataset_prefix=prefix,
         )
     )
-    manifest = json.dumps(rendered.named_params, sort_keys=True, indent=2) + "\n"
+    manifest = json_text(rendered.named_params)
     if args.params_out:
         Path(args.params_out).write_text(manifest, encoding="utf-8")
     sys.stdout.write(rendered.sql)

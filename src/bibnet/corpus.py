@@ -551,8 +551,8 @@ def ingest(paths: Iterable[str | Path]) -> tuple[Corpus, IngestReport]:
     # The corpus holds no reference cycles. The collector untracks its rows
     # anyway, but its full collections would each traverse the ever-growing
     # publications dict; paused, it makes one pass over the new objects when
-    # re-enabled, which costs less at a million publications. ``run_all``
-    # spares even that pass by freezing them; a library call freezes nothing.
+    # re-enabled, which costs less at a million publications. Inside
+    # ``run_all``, which pauses it for the whole run, this pause does nothing.
     enabled = gc.isenabled()
     gc.disable()
     try:

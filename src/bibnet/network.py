@@ -27,7 +27,8 @@ candidates: ``COUNT(p.id)`` counts a publication once per listing, so
 duplicate listings inflate an entity's count; the organisation template
 does not join the organisations table there, so unresolved org ids can
 take node slots; and ``ORDER BY 2 DESC LIMIT`` has no tie-break, so equal
-counts at the cap are cut in no fixed order.
+counts at the cap are cut in no fixed order. ``tests/test_sqlgen.py`` runs
+both templates on SQLite and pins each difference.
 """
 
 from __future__ import annotations

@@ -8,17 +8,16 @@ query and is written as ``run_report.json`` inside the output bundle.
 from __future__ import annotations
 
 import gc
-import json
 from datetime import date
 from pathlib import Path
 from typing import NamedTuple
 
-from bibnet.corpus import Corpus, IngestReport, StatsReport, corpus_stats, ingest
+from bibnet.corpus import IngestReport, StatsReport, corpus_stats, ingest
 from bibnet.network import build_network
 from bibnet.query import QueryBatch, load_query_folder
 from bibnet.version import ENGINE_VERSION
-from bibnet.vos import KINDS, NetworkParams, atomic_write_text, check_kind, now_stamp, to_vos_json
-from bibnet.vos import write_bundle
+from bibnet.vos import KINDS, NetworkParams, atomic_write_text, check_kind, json_text, now_stamp
+from bibnet.vos import to_vos_json, write_bundle
 
 RUN_REPORT_FILE = "run_report.json"
 
@@ -88,31 +87,22 @@ class RunReport(NamedTuple):
 def run_all(config: RunConfig) -> RunReport:
     """Run the full pipeline; fatal ingest/folder errors propagate.
 
-    The corpus lives for the whole run and holds no reference cycles, so the
-    cyclic collector is paused while it is ingested and everything it built
-    is then frozen (``gc.freeze``): no collection during the run traverses
-    it. The freeze is undone and the collector left as it was found on
-    return, whether the run succeeds or fails. When objects are frozen
-    already on entry (by the caller, say), nothing is frozen or unfrozen.
+    The cyclic collector is paused for the whole run and, when the run
+    returns or raises, left enabled or disabled as it was found. Nothing is
+    frozen, so a caller's frozen objects stay as they were. Cyclic garbage
+    made during the run is held until it ends.
     """
     enabled = gc.isenabled()
-    freeze = gc.get_freeze_count() == 0
     gc.disable()
     try:
-        corpus, ingest_report = ingest(config.corpus_paths)
-        if freeze:
-            gc.freeze()
-        if enabled:
-            gc.enable()
-        return _run(config, corpus, ingest_report)
+        return _run(config)
     finally:
-        if freeze:
-            gc.unfreeze()
         if enabled:
             gc.enable()
 
 
-def _run(config: RunConfig, corpus: Corpus, ingest_report: IngestReport) -> RunReport:
+def _run(config: RunConfig) -> RunReport:
+    corpus, ingest_report = ingest(config.corpus_paths)
     folder = load_query_folder(config.query_dir)
     today = config.today if config.today is not None else date.today()
     stamp = now_stamp()
@@ -147,8 +137,5 @@ def _run(config: RunConfig, corpus: Corpus, ingest_report: IngestReport) -> RunR
         ],
         networks_produced=len(manifest.networks),
     )
-    atomic_write_text(
-        Path(config.out_dir) / RUN_REPORT_FILE,
-        json.dumps(report.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-    )
+    atomic_write_text(Path(config.out_dir) / RUN_REPORT_FILE, json_text(report.to_dict()))
     return report

@@ -148,6 +148,18 @@ def dumps_document(doc: VosDocument) -> str:
     )
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def json_text(value: object) -> str:
+    """The text of each JSON file bibnet writes but a network document:
+    sorted keys, a two-space indent, non-ASCII text as is, a final newline.
+    A lone surrogate, which a file name that is not UTF-8 decodes to, cannot
+    be written as UTF-8, so it is escaped (``\\udce9``) as ``json`` would."""
+    text = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+    return _SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", text) + "\n"
+
+
 def _integer(value: object) -> bool:
     """JSON Schema "integer": bools are not; a float is when its fraction is zero."""
     if isinstance(value, float):
@@ -426,10 +438,7 @@ def write_bundle(
             networks=entries,
             collisions=collisions,
         )
-        atomic_write_text(
-            out / MANIFEST_FILE,
-            json.dumps(manifest._asdict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        )
+        atomic_write_text(out / MANIFEST_FILE, json_text(manifest._asdict()))
         for path in (out / NETWORK_DIR).glob("*.json"):
             if path.name not in assigned and path.is_file():
                 path.unlink()
@@ -538,10 +547,10 @@ def validate_bundle(directory: str | Path) -> list[str]:
         problems.extend(f"{rel}: {problem}" for problem in document_problems)
         if any(problem.startswith("schema:") for problem in document_problems):
             continue  # counts are compared only for a schema-valid document
-        if entry.get("nodes") != len(data["network"]["items"]):
-            problems.append(f"{rel}: manifest node count disagrees with file")
-        if entry.get("edges") != len(data["network"]["links"]):
-            problems.append(f"{rel}: manifest edge count disagrees with file")
+        for name, rows in (("node", "items"), ("edge", "links")):
+            count = entry.get(name + "s")  # a bool is no count, though true == 1
+            if not _integer(count) or count != len(data["network"][rows]):
+                problems.append(f"{rel}: manifest {name} count disagrees with file")
 
     network_dir = root / NETWORK_DIR
     if network_dir.is_dir():

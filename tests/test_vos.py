@@ -576,6 +576,34 @@ def test_validate_bundle_reports_unlisted_and_missing(abc_corpus, tmp_path):
     assert any("not listed in manifest" in p for p in problems)
 
 
+@pytest.mark.parametrize(
+    "field, count, valid",
+    [
+        ("nodes", True, False),  # true == 1, but a bool is no count
+        ("edges", False, False),  # false == 0 likewise
+        ("nodes", "1", False),
+        ("nodes", None, False),
+        ("nodes", 1.0, True),  # an integer to JSON Schema
+        ("edges", 0.0, True),
+    ],
+)
+def test_validate_judges_manifest_counts_as_integers(
+    abc_corpus, tmp_path, capsys, field, count, valid
+):
+    write_bundle([to_vos_json(abc_network(abc_corpus, max_nodes=1))], tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text("utf-8"))
+    entry = manifest["networks"][0]
+    assert (entry["nodes"], entry["edges"]) == (1, 0)
+    entry[field] = count
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    problem = f"networks/demo__org.json: manifest {field[:-1]} count disagrees with file"
+    assert validate_bundle(tmp_path) == ([] if valid else [problem])
+    assert main(["validate", "--dir", str(tmp_path)]) == (0 if valid else 1)
+    if not valid:
+        assert f"invalid: {problem}" in capsys.readouterr().err
+
+
 def test_validate_bundle_without_manifest(tmp_path):
     assert validate_bundle(tmp_path) == [f"missing manifest.json in {tmp_path}"]
 
