@@ -20,7 +20,7 @@ from pathlib import Path
 
 from bibnet.version import ENGINE_VERSION
 from bibnet.vos import KIND_SLUGS, KINDS, BundleLockError, NetworkParams, normalize_kind
-from bibnet.vos import json_text, validate_bundle
+from bibnet.vos import encode_text, json_text, validate_bundle
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -134,7 +134,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     stats = corpus_stats(corpus)
     if args.report:
         payload = {"ingest": vars(report), "stats": stats._asdict()}
-        Path(args.report).write_text(json_text(payload), encoding="utf-8")
+        Path(args.report).write_bytes(encode_text(json_text(payload)))
     print(report.summary())
     print(
         f"corpus: {stats.publications} publications, {stats.organisations} organisations, "
@@ -179,7 +179,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
     )
     manifest = json_text(rendered.named_params)
     if args.params_out:
-        Path(args.params_out).write_text(manifest, encoding="utf-8")
+        Path(args.params_out).write_bytes(encode_text(manifest))
     sys.stdout.write(rendered.sql)
     if not args.params_out:
         sys.stderr.write(manifest)

@@ -8,6 +8,7 @@ bundle's index page, and logs one line per request. Never writes to disk.
 from __future__ import annotations
 
 import sys
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
@@ -70,11 +71,11 @@ class BundleRequestHandler(BaseHTTPRequestHandler):
 
     def _serve(self, include_body: bool) -> None:
         target = resolve_request_path(self.root, self.path)
-        if target is None:
-            status, content_type, data = 404, "text/plain; charset=utf-8", b"not found\n"
-        else:
-            status, data = 200, target.read_bytes()
-            content_type = CONTENT_TYPES.get(target.suffix.lower(), DEFAULT_CONTENT_TYPE)
+        status, content_type, data = 404, "text/plain; charset=utf-8", b"not found\n"
+        if target is not None:
+            with suppress(OSError):  # a rebuild may remove the file once its path resolved
+                status, data = 200, target.read_bytes()
+                content_type = CONTENT_TYPES.get(target.suffix.lower(), DEFAULT_CONTENT_TYPE)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))

@@ -7,7 +7,9 @@ are defined here, and ``NetworkParams`` checks a field by the document's rule.
 Bundles are a directory of one JSON file per network, an ``index.html``
 with relative links, and a ``manifest.json`` table of contents. JSON is
 emitted with sorted keys and LF endings so reruns are diffable; writes are
-temp-then-rename and guarded by a lock file.
+temp-then-rename and guarded by a lock file. Every file bibnet writes is
+UTF-8, with a lone surrogate (a file name that is not UTF-8, a JSONL
+``\\udcxx`` escape) written as JSON's ``\\udcxx`` escape.
 
 Network files have exactly the layout of ``json.dumps(document,
 sort_keys=True, indent=2, ensure_ascii=False)`` plus a final newline.
@@ -148,16 +150,17 @@ def dumps_document(doc: VosDocument) -> str:
     )
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
 def json_text(value: object) -> str:
     """The text of each JSON file bibnet writes but a network document:
     sorted keys, a two-space indent, non-ASCII text as is, a final newline.
-    A lone surrogate, which a file name that is not UTF-8 decodes to, cannot
-    be written as UTF-8, so it is escaped (``\\udce9``) as ``json`` would."""
-    text = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
-    return _SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", text) + "\n"
+    :func:`encode_text` writes a lone surrogate in it as ``\\udcxx``."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def encode_text(text: str) -> bytes:
+    """The bytes of every file bibnet writes: UTF-8, but a lone surrogate (in JSON text
+    only a string holds one) becomes the ``\\udcxx`` escape that ``json.dumps`` writes."""
+    return text.encode("utf-8", "backslashreplace")
 
 
 def _integer(value: object) -> bool:
@@ -357,15 +360,13 @@ class BundleManifest(NamedTuple):
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    # a new file made with mode 0666 takes the umask's mode, as open()'s
-    # files do; one already under this name was left by a crashed run that
-    # had this process id
+    # a file already under the temp name was left by a crashed run that had
+    # this process id; open() makes the new one with the umask's mode
     tmp_name = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     tmp_name.unlink(missing_ok=True)
-    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(tmp_name, "xb") as fh:
+            fh.write(encode_text(text))
         os.replace(tmp_name, path)
     except BaseException:
         tmp_name.unlink(missing_ok=True)
@@ -376,14 +377,13 @@ def atomic_write_text(path: Path, text: str) -> None:
 def _bundle_lock(out_dir: Path) -> Iterator[None]:
     path = out_dir / LOCK_FILE
     try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        with open(path, "xb") as fh:
+            fh.write(b"%d" % os.getpid())
     except FileExistsError:
         raise BundleLockError(
             f"bundle directory is locked by another writer ({path}); "
             "remove the lock file if no other run is active"
         ) from None
-    with os.fdopen(fd, "w") as fh:
-        fh.write(str(os.getpid()))
     try:
         yield
     finally:
@@ -420,11 +420,10 @@ def write_bundle(
             if name != f"{slug}__{suffix}.json":
                 collisions.append({"requested": f"{slug}__{suffix}.json", "assigned": name})
             assigned.add(name)
-            rel_path = f"{NETWORK_DIR}/{name}"
             atomic_write_text(out / NETWORK_DIR / name, dumps_document(doc))
             entries.append(
                 {
-                    "file": rel_path,
+                    "file": f"{NETWORK_DIR}/{name}",
                     "query": doc.meta["query_name"],
                     "kind": doc.meta["kind"],
                     "nodes": len(doc.items),

@@ -483,6 +483,50 @@ def test_a_non_ascii_corpus_path_reads_the_same_in_both_reports(tmp_path, name, 
         assert json.loads(text)["ingest"]["files"] == [str(corpus)]
 
 
+def _build_and_check(tmp_path, corpus, queries):
+    """Build through the CLI; the bundle must validate and hold an index page."""
+    out = tmp_path / "out"
+    assert main(["build", "--corpus", str(corpus), "--queries", str(queries), "--out", str(out),
+                 "--today", "2022-07-01", "--min-edge-weight", "1"]) == 0
+    assert validate_bundle(out) == []
+    assert (out / "index.html").is_file()
+    return out
+
+
+def test_a_lone_surrogate_in_a_jsonl_label_is_written_as_its_json_escape(tmp_path):
+    # write_corpus's json.dumps writes each lone surrogate as a \udcxx escape, which ingest's
+    # JSON decoder reads back as the lone surrogate, a character UTF-8 cannot encode
+    mentions = [{"concept": "caf\udce9", "relevance": 0.9}, {"concept": "tea", "relevance": 0.9}]
+    corpus = write_corpus(tmp_path, [
+        {"id": "p1", "year": 2021, "research_orgs": ["g1", "g2"], "concepts": mentions},
+        {"id": "p2", "year": 2022, "research_orgs": ["g1", "g2"], "concepts": mentions},
+        {"id": "g1", "name": "T\udcf6o"},
+        {"id": "g2", "name": "Two"},
+    ])
+    out = _build_and_check(tmp_path, corpus, write_queries(tmp_path))
+    for kind, label in (("org", "T\udcf6o (g1)"), ("concept", "caf\udce9")):
+        raw = (out / "networks" / f"all__{kind}.json").read_bytes()
+        assert json.dumps(label).encode() in raw  # the \udcxx escape, as json.dumps writes it
+        labels = [item["label"] for item in json.loads(raw)["network"]["items"]]
+        assert label in labels
+
+
+def test_a_query_file_name_that_is_not_utf8_builds(tmp_path):
+    queries = write_queries(tmp_path)
+    name = os.fsdecode(b"\xe9.nql")
+    try:
+        (queries / name).write_text("year >= 2000\n", encoding="utf-8")
+    except OSError:
+        pytest.skip("the file system takes only UTF-8 file names")
+    out = _build_and_check(tmp_path, write_corpus(tmp_path), queries)
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    files = [entry["file"] for entry in manifest["networks"] if entry["query"] == "\udce9"]
+    assert files == ["networks/network__org.json", "networks/network__concept.json"]
+    for file in files:
+        assert json.loads((out / file).read_text("utf-8"))["bibnet_meta"]["query_name"] == "\udce9"
+    assert "<td>\\udce9</td>" in (out / "index.html").read_text("utf-8")
+
+
 def test_cli_sql_writes_sql_to_stdout_and_params_to_stderr(tmp_path, capsys):
     query_file = tmp_path / "sub.sql"
     query_file.write_text("select id from somewhere", encoding="utf-8")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibnet import server
 from bibnet.server import make_server, resolve_request_path
 from bibnet.vos import ORGANISATION, NetworkParams, to_vos_json, write_bundle
 from bibnet.network import Network, Node, Edge
@@ -149,6 +150,18 @@ def test_missing_file_is_404(bundle_dir):
     with running_server(bundle_dir) as port:
         status, _, _ = raw_get(port, "/networks/nope.json")
     assert status == 404
+
+
+def test_a_file_removed_after_its_path_resolved_is_404(bundle_dir, monkeypatch):
+    # a rebuild may prune a network file between resolving the path and reading it
+    removed = bundle_dir / "networks" / "recent__org.json"
+    removed.unlink()
+    monkeypatch.setattr(server, "resolve_request_path", lambda root, raw_path: removed)
+    with running_server(bundle_dir) as port:
+        status, _, body = raw_get(port, "/networks/recent__org.json")
+        assert (status, body) == (404, b"not found\n")
+        status, _, body = raw_get(port, "/", method="HEAD")
+        assert (status, body) == (404, b"")
 
 
 def test_overlong_path_segment_is_404(bundle_dir):

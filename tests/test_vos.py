@@ -428,6 +428,15 @@ _META = st.builds(
 )
 
 
+@given(_LABELS)
+@settings(max_examples=300, deadline=None)
+def test_encode_text_writes_a_lone_surrogate_as_json_escapes_it(label):
+    text = json.dumps(label, ensure_ascii=False)
+    # the JSON text with every lone surrogate as the escape json.dumps(ensure_ascii=True) writes
+    expected = "".join(json.dumps(c)[1:-1] if "\ud800" <= c <= "\udfff" else c for c in text)
+    assert vos.encode_text(text) == expected.encode("utf-8")
+
+
 @given(_ITEMS, _LINKS, _META)
 @settings(max_examples=300, deadline=None)
 @example([], [], {})
