@@ -17,6 +17,7 @@ import os
 import sys
 from datetime import date
 from pathlib import Path
+from typing import TextIO
 
 from bibnet.version import ENGINE_VERSION
 from bibnet.vos import KIND_SLUGS, KINDS, BundleLockError, NetworkParams, normalize_kind
@@ -30,9 +31,10 @@ DEFAULT_PORT = 8000
 PORT_ENV_VAR = "BIBNET_PORT"
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_FATAL
+def _print(text: str, file: TextIO | None = None, end: str = "\n") -> None:
+    """``print`` by the rule of the files bibnet writes (:func:`encode_text`): a lone
+    surrogate prints as the six characters ``\\udcxx``, whatever the stream's errors."""
+    print(encode_text(text).decode("utf-8"), end=end, file=file)
 
 
 def _parse_today(value: str) -> date:
@@ -135,8 +137,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.report:
         payload = {"ingest": vars(report), "stats": stats._asdict()}
         Path(args.report).write_bytes(encode_text(json_text(payload)))
-    print(report.summary())
-    print(
+    _print(report.summary())
+    _print(
         f"corpus: {stats.publications} publications, {stats.organisations} organisations, "
         f"{stats.concepts} distinct concepts"
     )
@@ -155,9 +157,9 @@ def cmd_build(args: argparse.Namespace) -> int:
         today=args.today,
     )
     report = run_all(config)
-    print(report.summary())
+    _print(report.summary())
     if report.networks_produced == 0:
-        print("error: no networks were produced", file=sys.stderr)
+        _print("error: no networks were produced", sys.stderr)
         return EXIT_NO_NETWORKS
     return EXIT_OK
 
@@ -180,9 +182,9 @@ def cmd_sql(args: argparse.Namespace) -> int:
     manifest = json_text(rendered.named_params)
     if args.params_out:
         Path(args.params_out).write_bytes(encode_text(manifest))
-    sys.stdout.write(rendered.sql)
+    _print(rendered.sql, end="")
     if not args.params_out:
-        sys.stderr.write(manifest)
+        _print(manifest, sys.stderr, end="")
     return EXIT_OK
 
 
@@ -194,13 +196,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         try:
             port = int(os.environ.get(PORT_ENV_VAR, DEFAULT_PORT))
         except ValueError:
-            return _fail(f"${PORT_ENV_VAR} is not an integer")
+            raise ValueError(f"${PORT_ENV_VAR} is not an integer") from None
     if not 1 <= port <= 65535:
-        return _fail(f"port must be in [1, 65535], got {port}")
+        raise ValueError(f"port must be in [1, 65535], got {port}")
     try:
         serve(args.dir, port=port)
     except OSError as exc:
-        return _fail(f"cannot serve {args.dir} on port {port}: {exc}")
+        raise OSError(f"cannot serve {args.dir} on port {port}: {exc}") from exc
     return EXIT_OK
 
 
@@ -208,9 +210,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     problems = validate_bundle(args.dir)
     if problems:
         for problem in problems:
-            print(f"invalid: {problem}", file=sys.stderr)
+            _print(f"invalid: {problem}", sys.stderr)
         return EXIT_FATAL
-    print(f"bundle {args.dir} is valid")
+    _print(f"bundle {args.dir} is valid")
     return EXIT_OK
 
 
@@ -236,7 +238,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (BundleLockError, OSError, ValueError) as exc:  # a CorpusError is a ValueError
-        return _fail(str(exc))
+        _print(f"error: {exc}", sys.stderr)
+        return EXIT_FATAL
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ texts and their relevances. :func:`Publication` builds a row from keywords.
 from __future__ import annotations
 
 import csv
-import gc
 import json
 import re
 from datetime import date
@@ -548,18 +547,7 @@ def ingest(paths: Iterable[str | Path]) -> tuple[Corpus, IngestReport]:
     """
     files = expand_corpus_paths(paths)
     report = IngestReport(files=[str(p) for p in files])
-    # The corpus holds no reference cycles. The collector untracks its rows
-    # anyway, but its full collections would each traverse the ever-growing
-    # publications dict; paused, it makes one pass over the new objects when
-    # re-enabled, which costs less at a million publications. Inside
-    # ``run_all``, which pauses it for the whole run, this pause does nothing.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        corpus = _assemble(_parse_files(files, report))
-    finally:
-        if enabled:
-            gc.enable()
+    corpus = _assemble(_parse_files(files, report))
     report.publications = len(corpus.publications)
     report.organisations = len(corpus.organisations)
     report.unresolved_org_count = len(corpus.unresolved_orgs)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibnet import corpus as corpus_module
 from bibnet.cli import main
 from bibnet.corpus import (
     CONCEPT_TEXTS,
@@ -251,6 +252,25 @@ def test_ingest_restores_the_collector_state(tmp_path, collector_state, enabled,
         with pytest.raises(EmptyCorpusError if outcome == "empty" else DuplicateIdError):
             ingest([path])
     assert gc.isenabled() is enabled
+
+
+def test_ingest_leaves_the_collector_alone_while_it_reads(tmp_path, monkeypatch, collector_state):
+    # _assemble consumes the readers, so the read starts and ends inside it
+    during = []
+
+    def spy(records):
+        during.append(gc.isenabled())
+        built = assemble(records)
+        during.append(gc.isenabled())
+        return built
+
+    assemble = corpus_module._assemble
+    monkeypatch.setattr(corpus_module, "_assemble", spy)
+    gc.enable()
+    corpus, _ = ingest([write_jsonl(tmp_path / "corpus.jsonl", PUBS + ORGS)])
+    assert len(corpus.publications) == len(PUBS)
+    assert during == [True, True]
+    assert gc.isenabled()
 
 
 def test_duplicate_publication_id_across_files_is_fatal(tmp_path):

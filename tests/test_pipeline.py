@@ -527,6 +527,46 @@ def test_a_query_file_name_that_is_not_utf8_builds(tmp_path):
     assert "<td>\\udce9</td>" in (out / "index.html").read_text("utf-8")
 
 
+# capsys's stdout, like a strict UTF-8 locale's, cannot encode a lone surrogate: the CLI
+# prints one as the \udcxx escape its files hold.
+
+
+def _not_utf8(directory, stem, suffix=""):
+    """A path in ``directory`` whose name holds the byte 0xE9, which is not UTF-8."""
+    path = directory / (stem + os.fsdecode(b"\xe9") + suffix)
+    try:
+        path.touch()
+        path.unlink()
+    except OSError:
+        pytest.skip("the file system takes only UTF-8 file names")
+    return path
+
+
+def test_cli_build_prints_a_query_name_that_is_not_utf8(tmp_path, capsys):
+    queries = write_queries(tmp_path)
+    _not_utf8(queries, "q", ".nql").write_text("year >= 2000\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["build", "--corpus", str(write_corpus(tmp_path)), "--queries", str(queries),
+                 "--out", str(out), "--today", "2022-07-01"]) == 0
+    assert "  q\\udce9 [" in capsys.readouterr().out
+    assert validate_bundle(out) == []
+
+
+def test_cli_validate_prints_a_directory_name_that_is_not_utf8(tmp_path, capsys):
+    out = _not_utf8(tmp_path, "out")
+    run_all(make_config(tmp_path, out_dir=str(out)))
+    assert main(["validate", "--dir", str(out)]) == 0
+    assert capsys.readouterr().out == f"bundle {tmp_path}/out\\udce9 is valid\n"
+
+
+def test_cli_ingest_prints_a_skip_reason_that_names_a_file_not_utf8(tmp_path, capsys):
+    corpus = _not_utf8(tmp_path, "corpus", ".jsonl")
+    corpus.write_text(write_corpus(tmp_path).read_text("utf-8") + '{"id": "p3", "year": "x"}\n',
+                      encoding="utf-8")
+    assert main(["ingest", "--corpus", str(corpus)]) == 0
+    assert f"  skipped {tmp_path}/corpus\\udce9.jsonl:5: field 'year'" in capsys.readouterr().out
+
+
 def test_cli_sql_writes_sql_to_stdout_and_params_to_stderr(tmp_path, capsys):
     query_file = tmp_path / "sub.sql"
     query_file.write_text("select id from somewhere", encoding="utf-8")
