@@ -160,9 +160,18 @@ class SubsetResult(NamedTuple):
 
 # --- Tokenizer ---------------------------------------------------------------
 
+# A run of two or more double-quoted literals without a backslash, joined by
+# commas and whitespace (the bulk of a long IN or ids() list), is one token
+# read in one match, its values by one findall. A str literal list takes it
+# whole. Anywhere else a run is an error, and the parser first expands it
+# into the str and comma tokens it is made of, at their own offsets, so every
+# AST and every error is the one that reading each literal alone gives. A
+# comment ends a run; a single-quoted literal or one with a backslash is read
+# alone.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
+    (?P<run>"[^"\\]*"(?:[ \t\r\n]*,[ \t\r\n]*"[^"\\]*")+)
+  | (?P<ws>[ \t\r\n]+)
   | (?P<comment>\#[^\n]*)
   | (?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2})
   | (?P<int>[0-9]+)
@@ -176,6 +185,9 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+_RUN_VALUES_RE = re.compile(r'"([^"]*)"')
+_RUN_PARTS_RE = re.compile(r'"[^"]*"|,')
 
 _KEYWORDS = ("AND", "OR", "NOT", "IN")
 
@@ -203,7 +215,9 @@ def _tokenize(text: str) -> list[_Token]:
         if kind == "bad":
             raise _error(QuerySyntaxError, f"unexpected character {raw!r}", text, pos)
         value: object = raw
-        if kind == "date":
+        if kind == "run":
+            value = _RUN_VALUES_RE.findall(raw)
+        elif kind == "date":
             try:
                 value = parse_date(raw)
             except ValueError:
@@ -226,6 +240,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _expand(run: _Token) -> list[_Token]:
+    """The ``str`` and ``comma`` tokens a ``run`` token is made of."""
+    tokens = []
+    for m in _RUN_PARTS_RE.finditer(run.text):
+        raw = m.group()
+        kind, value = ("comma", raw) if raw == "," else ("str", raw[1:-1])
+        tokens.append(_Token(kind, raw, value, run.pos + m.start()))
+    return tokens
+
+
 # --- Parser ------------------------------------------------------------------
 
 
@@ -239,10 +263,14 @@ class _Parser:
         self.depth = 0
 
     def peek(self) -> _Token:
-        return self.tokens[self.index]
+        tok = self.tokens[self.index]
+        if tok.kind == "run":  # read here literal by literal
+            self.tokens[self.index : self.index + 1] = _expand(tok)
+            tok = self.tokens[self.index]
+        return tok
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.index]
+        tok = self.peek()
         self.index += 1
         return tok
 
@@ -343,10 +371,17 @@ class _Parser:
         return tok.value
 
     def parse_literal_list(self, field: str, kind: str) -> tuple:
-        values = [self.parse_literal(field, kind)]
-        while self.peek().kind == "comma":
+        values: list = []
+        while True:
+            tok = self.tokens[self.index]
+            if tok.kind == "run" and kind == "str":  # all its literals at once
+                self.index += 1
+                values += tok.value
+            else:
+                values.append(self.parse_literal(field, kind))
+            if self.peek().kind != "comma":
+                break
             self.advance()
-            values.append(self.parse_literal(field, kind))
         self.expect("rparen", "')'")
         return tuple(values)
 

@@ -5,7 +5,8 @@ Networks become interchange documents (``network.items`` +
 VOSviewer ignores). The kinds and :class:`NetworkParams` a document records
 are defined here, and ``NetworkParams`` checks a field by the document's rule.
 Bundles are a directory of one JSON file per network, an ``index.html``
-with relative links, and a ``manifest.json`` table of contents. JSON is
+with relative links, a ``manifest.json`` table of contents and, from a
+build, its ``run_report.json``. JSON is
 emitted with sorted keys and LF endings so reruns are diffable; writes are
 temp-then-rename and guarded by a lock file. Every file bibnet writes is
 UTF-8, with a lone surrogate (a file name that is not UTF-8, a JSONL
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
@@ -42,6 +43,7 @@ DOCUMENTS_WEIGHT = "Documents"
 LOCK_FILE = ".bibnet.lock"
 MANIFEST_FILE = "manifest.json"
 INDEX_FILE = "index.html"
+RUN_REPORT_FILE = "run_report.json"
 NETWORK_DIR = "networks"
 
 VOSVIEWER_ONLINE_URL = "https://app.vosviewer.com/"
@@ -391,14 +393,19 @@ def _bundle_lock(out_dir: Path) -> Iterator[None]:
 
 
 def write_bundle(
-    documents: list[VosDocument], out_dir: str | Path, generated_at: str | None = None
+    documents: list[VosDocument],
+    out_dir: str | Path,
+    generated_at: str | None = None,
+    run_report: Callable[[BundleManifest], str] | None = None,
 ) -> BundleManifest:
     """Write one JSON per document plus index.html and manifest.json.
 
     Manifest entries align one-to-one with ``documents``. Slug collisions
     get a numeric suffix and are recorded. Files are replaced atomically.
     Once the new manifest is written, regular network files it does not
-    list (left by an earlier run) are removed.
+    list (left by an earlier run) are removed. ``run_report``, given the
+    manifest, returns the text of ``run_report.json``, written last and,
+    like every other file, while the lock is held.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -442,6 +449,8 @@ def write_bundle(
             if path.name not in assigned and path.is_file():
                 path.unlink()
         atomic_write_text(out / INDEX_FILE, render_index(entries))
+        if run_report is not None:
+            atomic_write_text(out / RUN_REPORT_FILE, run_report(manifest))
     return manifest
 
 

@@ -1,20 +1,23 @@
-"""Naive references for the query language: a per-record evaluator and a
-tokenizer.
+"""Naive references for the query language: a per-record evaluator, a
+tokenizer and a parser.
 
 The evaluator interprets the AST afresh for every publication, reading
 each field into a list of values (empty when a scalar field is missing,
 every element for a multi-valued field) and asking whether any value
 passes the leaf. The tokenizer reads a string literal one character or
-escape at a time and unescapes it whatever it holds. Both live in the test
-tree on purpose: they are the independent references that the compiled
-evaluator and the tokenizer in :mod:`bibnet.query` are checked against and
-must never be imported by shipping code.
+escape at a time and unescapes it whatever it holds. The parser is a
+frozen recursive-descent parser over that tokenizer's tokens, one token per
+literal and per comma. All three live in the test tree on purpose: they are
+the independent references that the compiled evaluator, the tokenizer and
+the parser in :mod:`bibnet.query` are checked against and must never be
+imported by shipping code.
 """
 
 from __future__ import annotations
 
 import re
 from datetime import date, timedelta
+from functools import partial
 
 from bibnet.corpus import (
     CONCEPT_TEXTS,
@@ -26,7 +29,21 @@ from bibnet.corpus import (
     YEAR,
     Corpus,
 )
-from bibnet.query import BoolExpr, Comparison, DateWindow, Expr, Membership, NotExpr
+from bibnet.corpus import parse_date
+from bibnet.query import (
+    FIELDS,
+    MAX_NESTING,
+    BoolExpr,
+    Comparison,
+    DateWindow,
+    Expr,
+    Membership,
+    NotExpr,
+    QueryError,
+    QuerySyntaxError,
+    QueryTypeError,
+    UnknownFieldError,
+)
 
 _OPS = {
     "==": lambda a, b: a == b,
@@ -118,3 +135,177 @@ def reference_tokens(text: str) -> list[tuple[str, str, object, int]]:
             kind = value = raw.upper()
         tokens.append((kind, raw, value, m.start()))
     return tokens
+
+
+def _error(cls: type[QueryError], message: str, text: str, pos: int) -> QueryError:
+    line_start = text.rfind("\n", 0, pos) + 1
+    return cls(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, object, int]]:
+    """``reference_tokens`` ending in an ``eof`` token, or the error of the
+    first character no rule takes or the first literal that reads as no value."""
+    tokens = []
+    for m in TOKEN_RE.finditer(text):
+        kind, raw, pos = m.lastgroup, m.group(), m.start()
+        value: object = raw
+        if kind in ("ws", "comment"):
+            continue
+        if kind == "bad":
+            raise _error(QuerySyntaxError, f"unexpected character {raw!r}", text, pos)
+        if kind == "date":
+            try:
+                value = parse_date(raw)
+            except ValueError:
+                raise _error(QuerySyntaxError, f"invalid date literal {raw!r}", text, pos) from None
+        elif kind == "int":
+            try:
+                value = int(raw)
+            except ValueError:
+                message = f"integer literal of {len(raw)} digits is too long"
+                raise _error(QuerySyntaxError, message, text, pos) from None
+        elif kind == "str":
+            value = re.sub(r"\\(.)", r"\1", raw[1:-1])
+        elif kind == "ident" and raw.upper() in ("AND", "OR", "NOT", "IN"):
+            kind = value = raw.upper()
+        tokens.append((kind, raw, value, pos))
+    tokens.append(("eof", "<end of query>", None, len(text)))
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over one token per literal; precedence OR < AND < NOT < atom."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.index = 0
+        self.depth = 0
+
+    def fail(self, cls: type[QueryError], message: str, pos: int) -> QueryError:
+        return _error(cls, message, self.text, pos)
+
+    def peek(self) -> tuple:
+        return self.tokens[self.index]
+
+    def advance(self) -> tuple:
+        self.index += 1
+        return self.tokens[self.index - 1]
+
+    def expect(self, kind: str, what: str) -> tuple:
+        tok = self.peek()
+        if tok[0] != kind:
+            raise self.fail(QuerySyntaxError, f"expected {what}, found {tok[1]!r}", tok[3])
+        return self.advance()
+
+    def nested(self, parse) -> Expr:
+        if self.depth == MAX_NESTING:
+            message = f"query nests deeper than {MAX_NESTING} levels"
+            raise self.fail(QuerySyntaxError, message, self.tokens[self.index - 1][3])
+        self.depth += 1
+        expr = parse()
+        self.depth -= 1
+        return expr
+
+    def parse(self) -> Expr:
+        expr = self.chain(0)
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise self.fail(QuerySyntaxError, f"unexpected trailing token {tok[1]!r}", tok[3])
+        return expr
+
+    def chain(self, level: int) -> Expr:
+        if level == 2:
+            return self.negation()
+        op = ("OR", "AND")[level]
+        terms = [self.chain(level + 1)]
+        while self.peek()[0] == op:
+            self.advance()
+            terms.append(self.chain(level + 1))
+        return terms[0] if len(terms) == 1 else BoolExpr(op, tuple(terms))
+
+    def negation(self) -> Expr:
+        if self.peek()[0] == "NOT":
+            self.advance()
+            return NotExpr(self.nested(self.negation))
+        return self.atom()
+
+    def atom(self) -> Expr:
+        tok = self.peek()
+        if tok[0] == "lparen":
+            self.advance()
+            expr = self.nested(partial(self.chain, 0))
+            self.expect("rparen", "')'")
+            return expr
+        if tok[0] == "ident":
+            if tok[1] == "last_days":
+                return self.last_days()
+            if tok[1] == "ids":
+                self.advance()
+                self.expect("lparen", "'(' after ids")
+                return Membership("id", self.literal_list("id", "str"))
+            return self.field_predicate()
+        raise self.fail(QuerySyntaxError, f"expected a predicate, found {tok[1]!r}", tok[3])
+
+    def field(self) -> tuple[tuple, str]:
+        tok = self.expect("ident", "a field name")
+        if tok[1] not in FIELDS:
+            message = f"unknown field {tok[1]!r} (queryable: {', '.join(sorted(FIELDS))})"
+            raise self.fail(UnknownFieldError, message, tok[3])
+        return tok, FIELDS[tok[1]][0]
+
+    def field_predicate(self) -> Expr:
+        field_tok, kind = self.field()
+        field = field_tok[1]
+        tok = self.peek()
+        if tok[0] == "IN":
+            self.advance()
+            self.expect("lparen", "'(' after IN")
+            return Membership(field, self.literal_list(field, kind))
+        if tok[0] == "op":
+            self.advance()
+            return Comparison(field, tok[1], self.literal(field, kind))
+        message = (
+            f"expected a comparison operator or IN after field {field!r}, found {tok[1]!r}"
+        )
+        raise self.fail(QuerySyntaxError, message, tok[3])
+
+    def literal(self, field: str, kind: str):
+        tok = self.peek()
+        if tok[0] not in ("str", "int", "date"):
+            raise self.fail(QuerySyntaxError, f"expected a literal, found {tok[1]!r}", tok[3])
+        self.advance()
+        if tok[0] != kind:
+            message = f"field {field!r} expects a {kind} literal, got {tok[1]}"
+            raise self.fail(QueryTypeError, message, tok[3])
+        return tok[2]
+
+    def literal_list(self, field: str, kind: str) -> tuple:
+        values = [self.literal(field, kind)]
+        while self.peek()[0] == "comma":
+            self.advance()
+            values.append(self.literal(field, kind))
+        self.expect("rparen", "')'")
+        return tuple(values)
+
+    def last_days(self) -> Expr:
+        self.advance()
+        self.expect("lparen", "'(' after last_days")
+        field_tok, kind = self.field()
+        if kind != "date":
+            message = f"last_days requires a date field, {field_tok[1]!r} is {kind}"
+            raise self.fail(QueryTypeError, message, field_tok[3])
+        self.expect("comma", "','")
+        days_tok = self.expect("int", "a day count")
+        if days_tok[2] < 1:
+            raise self.fail(QueryTypeError, "last_days window must be >= 1", days_tok[3])
+        self.expect("rparen", "')'")
+        return DateWindow(field_tok[1], days_tok[2])
+
+
+def reference_parse(text: str) -> Expr:
+    """The AST of ``text``, or the :class:`QueryError` the query language
+    names for it, read one literal and one comma at a time."""
+    if not text.strip():
+        raise _error(QuerySyntaxError, "empty query", text, 0)
+    return _Parser(text).parse()

@@ -10,13 +10,22 @@ from datetime import date
 
 import pytest
 
-from bibnet import pipeline
+from bibnet import pipeline, vos
 from bibnet.cli import main
 from bibnet.corpus import EmptyCorpusError
-from bibnet.pipeline import RUN_REPORT_FILE, RunConfig, run_all
+from bibnet.pipeline import RunConfig, run_all
 from bibnet.query import BoolExpr, Comparison
 from bibnet.sqlgen import SqlRequest, render_sql
-from bibnet.vos import CONCEPT, KIND_SPELLINGS, ORGANISATION, NetworkParams, validate_bundle
+from bibnet.vos import (
+    CONCEPT,
+    KIND_SPELLINGS,
+    LOCK_FILE,
+    ORGANISATION,
+    RUN_REPORT_FILE,
+    BundleLockError,
+    NetworkParams,
+    validate_bundle,
+)
 
 TODAY = date(2022, 7, 1)
 
@@ -206,7 +215,8 @@ def test_run_all_leaves_the_collector_as_it_found_it(
         return wrapped
 
     monkeypatch.setattr(pipeline, "ingest", spy(pipeline.ingest))  # the first step
-    monkeypatch.setattr(pipeline, "atomic_write_text", spy(pipeline.atomic_write_text))  # the last
+    # the last step: it writes the bundle and then the run report
+    monkeypatch.setattr(pipeline, "write_bundle", spy(pipeline.write_bundle))
     if caller_froze:
         gc.freeze()
     frozen = gc.get_freeze_count()
@@ -256,6 +266,34 @@ def test_run_report_is_replaced_atomically(tmp_path, monkeypatch):
         run_all(make_config(tmp_path, params=NetworkParams(min_edge_weight=2)))
     assert report_path.read_bytes() == before
     assert [p.name for p in (tmp_path / "out").iterdir() if p.suffix == ".tmp"] == []
+
+
+def test_run_report_is_written_under_the_bundle_lock(tmp_path, monkeypatch):
+    run_all(make_config(tmp_path))
+    out = tmp_path / "out"
+    before = {path: path.read_bytes() for path in (out / "networks").iterdir()}
+    real_write = vos.atomic_write_text
+    writes = []
+
+    def spy(path, text):
+        writes.append((path.name, (out / LOCK_FILE).exists()))
+        real_write(path, text)
+
+    monkeypatch.setattr(vos, "atomic_write_text", spy)
+    report = run_all(make_config(tmp_path))
+    assert writes[-1] == (RUN_REPORT_FILE, True)
+    assert all(locked for _, locked in writes)
+    assert json.loads((out / RUN_REPORT_FILE).read_text("utf-8")) == json.loads(
+        vos.json_text(report.to_dict())
+    )
+    assert {path: path.read_bytes() for path in (out / "networks").iterdir()} == before
+
+    # a run that meets a held lock writes nothing, the report included
+    (out / LOCK_FILE).write_text("12345", encoding="utf-8")
+    writes.clear()
+    with pytest.raises(BundleLockError):
+        run_all(make_config(tmp_path, params=NetworkParams(min_edge_weight=2)))
+    assert writes == []
 
 
 def test_run_config_validates_kinds(tmp_path):

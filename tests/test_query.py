@@ -35,6 +35,7 @@ from bibnet.query import (
     QueryTypeError,
     SubsetQuery,
     UnknownFieldError,
+    _expand,
     _tokenize,
     eval_query,
     load_query_folder,
@@ -43,7 +44,7 @@ from bibnet.query import (
 )
 
 from gen import random_corpus, random_expr
-from query_reference import reference_ids, reference_tokens
+from query_reference import reference_ids, reference_parse, reference_tokens
 
 TODAY = date(2022, 5, 1)
 
@@ -225,10 +226,18 @@ _LEXEMES = [
 ]
 
 
+def expanded(tokens) -> list[tuple]:
+    """``tokens`` with each run of string literals expanded into its str and comma tokens."""
+    return [tuple(part) for tok in tokens for part in (_expand(tok) if tok.kind == "run" else [tok])]
+
+
 @given(st.lists(st.sampled_from(_LEXEMES), max_size=24).map("".join))
 @example('"a\\"b" OR \'c\\\\\'')
 @example('"a\\\nb"')
 @example("'unterminated")
+@example('"a", "b"')
+@example('"a" ,\n"b", \'c\'')
+@example('"a", "", "b\\"c"')  # a run that ends at an escaped literal
 @settings(max_examples=400, deadline=None)
 def test_tokenizer_reads_string_literals_as_the_reference_does(text):
     expected = reference_tokens(text)
@@ -236,7 +245,7 @@ def test_tokenizer_reads_string_literals_as_the_reference_does(text):
     end = kinds.index("bad") if "bad" in kinds else len(expected)
     pos = expected[end][3] if end < len(expected) else len(text)
     # the tokens before the first character no rule takes are the reference's
-    assert [tuple(token) for token in _tokenize(text[:pos])[:-1]] == expected[:end]
+    assert expanded(_tokenize(text[:pos])[:-1]) == expected[:end]
     if end < len(expected):
         with pytest.raises(QuerySyntaxError) as caught:
             _tokenize(text)
@@ -246,6 +255,60 @@ def test_tokenizer_reads_string_literals_as_the_reference_does(text):
             text.count("\n", 0, pos) + 1,
             pos - line_start + 1,
         )
+
+
+def test_a_run_of_plain_string_literals_is_one_token():
+    tokens = _tokenize('ids("p1", "",\n  "p 3", \'p4\', "p\\"5")')
+    assert [(tok.kind, tok.value, tok.pos) for tok in tokens[2:4]] == [
+        ("run", ["p1", "", "p 3"], 4),
+        ("comma", ",", 21),
+    ]
+    assert expanded(tokens[2:3]) == [
+        ("str", '"p1"', "p1", 4), ("comma", ",", ",", 8), ("str", '""', "", 10),
+        ("comma", ",", ",", 12), ("str", '"p 3"', "p 3", 16),
+    ]
+
+
+# list openers and closers, literals of both quote styles (escaped, empty, of
+# another kind, unterminated, or followed by a word) and separators with line
+# breaks and comments: the plain literals form runs, the rest break them
+_PLAIN_LITERALS = ['"a"', '"b c"', '""', '"\u00e9\n"']
+_OTHER_LITERALS = [
+    "'x'", "''", '"q\\"r"', "'s\\'t'", '"it\'s"', "7", "2021-01-02", '"', '"m" "n"', '"o" or', ",",
+]
+_LIST_SEPARATORS = [",", ", ", " ,\n", ",\r\n", ",\t", ", # c\n", '\n# "c", d\n,']
+_LIST_OPENERS = [
+    "ids(", "id IN (", "concept IN (", "year IN (", "date_inserted IN (", "doc_type == ",
+    "", "NOT (", "doc_type != ",
+]
+_LIST_CLOSERS = [")", "", ",)", ", )", ") AND ids(\"z\")", " OR year == 1", "))", ")\n# end"]
+
+_literals = st.sampled_from(_PLAIN_LITERALS * 4 + _OTHER_LITERALS)  # plain more than half the time
+_list_texts = st.builds(
+    lambda opener, first, rest, closer: opener + first + "".join(map("".join, rest)) + closer,
+    st.sampled_from(_LIST_OPENERS),
+    _literals,
+    st.lists(st.tuples(st.sampled_from(_LIST_SEPARATORS), _literals), max_size=8),
+    st.sampled_from(_LIST_CLOSERS),
+)
+
+
+def parsed(parse, text: str):
+    """``exact()`` of the AST, or the error's class, message, line and column."""
+    try:
+        return exact(parse(text))
+    except QueryError as error:
+        return type(error), str(error), error.line, error.column
+
+
+@given(_list_texts)
+@example('year IN ("a", "b")')
+@example('doc_type == "a", "b"')
+@example('"a", "b"')
+@example('concept IN ("a", "b",\n# more\n"c", "d",)')
+@settings(max_examples=500, deadline=None)
+def test_parse_reads_lists_of_literals_as_the_reference_does(text):
+    assert parsed(lambda t: parse_query(t).ast, text) == parsed(reference_parse, text)
 
 
 def test_a_chain_of_one_operator_is_one_node_printed_flat():
