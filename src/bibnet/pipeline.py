@@ -15,7 +15,7 @@ from bibnet.corpus import IngestReport, StatsReport, corpus_stats, ingest
 from bibnet.network import build_network
 from bibnet.query import QueryBatch, load_query_folder
 from bibnet.version import ENGINE_VERSION
-from bibnet.vos import KINDS, BundleManifest, NetworkParams, check_kind, json_text, now_stamp
+from bibnet.vos import KINDS, NetworkParams, check_kind, json_text, now_stamp, plan_bundle
 from bibnet.vos import to_vos_json, write_bundle
 
 
@@ -119,28 +119,20 @@ def _run(config: RunConfig) -> RunReport:
             continue
         documents.extend(query_docs)
 
-    reports: list[RunReport] = []
-
-    def report_text(manifest: BundleManifest) -> str:
-        # written with the bundle, so a run that meets the lock writes no report
-        reports.append(
-            RunReport(
-                generated_at=stamp,
-                today=today.isoformat(),
-                params=config.params,
-                corpus=corpus_stats(corpus),
-                ingest=ingest_report,
-                queries_loaded=len(folder.queries) + len(folder.failures),
-                processed=len(folder.queries) + len(folder.failures) - len(skipped),
-                skipped=skipped,
-                networks=[
-                    {**entry, "empty_subset": entry["subset_size"] == 0}
-                    for entry in manifest.networks
-                ],
-                networks_produced=len(manifest.networks),
-            )
-        )
-        return json_text(reports[0].to_dict())
-
-    write_bundle(documents, config.out_dir, generated_at=stamp, run_report=report_text)
-    return reports[0]
+    networks = plan_bundle(documents, stamp).networks
+    report = RunReport(
+        generated_at=stamp,
+        today=today.isoformat(),
+        params=config.params,
+        corpus=corpus_stats(corpus),
+        ingest=ingest_report,
+        queries_loaded=len(folder.queries) + len(folder.failures),
+        processed=len(folder.queries) + len(folder.failures) - len(skipped),
+        skipped=skipped,
+        networks=[{**entry, "empty_subset": entry["subset_size"] == 0} for entry in networks],
+        networks_produced=len(networks),
+    )
+    # written with the bundle, under its lock: a run that meets the lock writes no report
+    text = json_text(report.to_dict())
+    write_bundle(documents, config.out_dir, generated_at=stamp, run_report=text)
+    return report

@@ -12,13 +12,13 @@ temp-then-rename and guarded by a lock file. Every file bibnet writes is
 UTF-8, with a lone surrogate (a file name that is not UTF-8, a JSONL
 ``\\udcxx`` escape) written as JSON's ``\\udcxx`` escape.
 
-Network files have exactly the layout of ``json.dumps(document,
+Every JSON file has exactly the layout of ``json.dumps(value,
 sort_keys=True, indent=2, ensure_ascii=False)`` plus a final newline.
-``json`` encodes with its C encoder only when ``indent`` is None, so
-``dumps_document`` lays the document's rows out itself: items and links
-through fixed templates, labels through ``json.encoder.encode_basestring``
-(the function ``json.dumps`` uses for them), and ``bibnet_meta`` through
-``json.dumps``.
+Before Python 3.13 ``json`` indents only in Python, leaving a reference cycle
+per call, so bibnet lays text out itself: network items and links through
+fixed templates, labels through ``json.encoder.encode_basestring``, and
+``bibnet_meta``, the manifest and the run report through one writer. A
+bundle is planned (every file named, no I/O) before its lock is taken.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
@@ -140,12 +140,28 @@ def _array(parts: list[str]) -> str:
     return "[\n" + ",\n".join(parts) + "\n    ]" if parts else "[]"
 
 
+# a scalar, an empty object or an empty array, by the C encoder: it keeps no cycle
+_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _layout(value: object, indent: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2,
+    ensure_ascii=False)`` lays it out at ``indent``; object keys are ``str``."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        rows = (f"{inner}{encode_basestring(k)}: {_layout(value[k], inner)}" for k in sorted(value))
+        return "{\n" + ",\n".join(rows) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[\n" + ",\n".join(inner + _layout(v, inner) for v in value) + f"\n{indent}]"
+    return _scalar(value)
+
+
 def dumps_document(doc: VosDocument) -> str:
     """The document's dict form as ``json.dumps(..., sort_keys=True,
     indent=2, ensure_ascii=False) + "\\n"`` writes it, byte for byte."""
     items = _array([_ITEM % (i, encode_basestring(label), n) for i, label, n in doc.items])
     links = _array([_LINK % (source, weight, target) for source, target, weight in doc.links])
-    meta = json.dumps(doc.meta, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+    meta = _layout(doc.meta, "  ")
     return (
         f'{{\n  "{META_KEY}": {meta},\n  "network": {{\n    "items": {items},\n'
         f'    "links": {links}\n  }}\n}}\n'
@@ -156,7 +172,7 @@ def json_text(value: object) -> str:
     """The text of each JSON file bibnet writes but a network document:
     sorted keys, a two-space indent, non-ASCII text as is, a final newline.
     :func:`encode_text` writes a lone surrogate in it as ``\\udcxx``."""
-    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _layout(value, "") + "\n"
 
 
 def encode_text(text: str) -> bytes:
@@ -392,65 +408,66 @@ def _bundle_lock(out_dir: Path) -> Iterator[None]:
         path.unlink(missing_ok=True)
 
 
+def plan_bundle(documents: list[VosDocument], generated_at: str | None = None) -> BundleManifest:
+    """The manifest :func:`write_bundle` writes for ``documents``, with no I/O: its
+    entries align one-to-one with them, and slug collisions get a numeric suffix."""
+    assigned: set[str] = set()
+    entries: list[dict] = []
+    collisions: list[dict] = []
+    for doc in documents:
+        slug = slugify(doc.meta["query_name"])
+        suffix = kind_slug(doc.meta["kind"])
+        name = requested = f"{slug}__{suffix}.json"
+        counter = 2
+        while name in assigned:
+            name = f"{slug}-{counter}__{suffix}.json"
+            counter += 1
+        if name != requested:
+            collisions.append({"requested": requested, "assigned": name})
+        assigned.add(name)
+        entries.append(
+            {
+                "file": f"{NETWORK_DIR}/{name}",
+                "query": doc.meta["query_name"],
+                "kind": doc.meta["kind"],
+                "nodes": len(doc.items),
+                "edges": len(doc.links),
+                "subset_size": doc.meta["subset_size"],
+            }
+        )
+    stamp = generated_at if generated_at is not None else now_stamp()
+    return BundleManifest(stamp, ENGINE_VERSION, entries, collisions)
+
+
 def write_bundle(
     documents: list[VosDocument],
     out_dir: str | Path,
     generated_at: str | None = None,
-    run_report: Callable[[BundleManifest], str] | None = None,
+    run_report: str | None = None,
 ) -> BundleManifest:
     """Write one JSON per document plus index.html and manifest.json.
 
-    Manifest entries align one-to-one with ``documents``. Slug collisions
-    get a numeric suffix and are recorded. Files are replaced atomically.
-    Once the new manifest is written, regular network files it does not
-    list (left by an earlier run) are removed. ``run_report``, given the
-    manifest, returns the text of ``run_report.json``, written last and,
-    like every other file, while the lock is held.
+    The bundle is planned by :func:`plan_bundle` before anything is written,
+    so a document it cannot name leaves the directory untouched. Then, while
+    the lock is held, files are replaced atomically; once the new manifest is
+    written, regular network files it does not list (left by an earlier run)
+    are removed; ``run_report``, the text of ``run_report.json``, is written last.
     """
+    manifest = plan_bundle(documents, generated_at)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / NETWORK_DIR).mkdir(exist_ok=True)
-    stamp = generated_at if generated_at is not None else now_stamp()
-
     with _bundle_lock(out):
-        assigned: set[str] = set()
-        entries: list[dict] = []
-        collisions: list[dict] = []
-        for doc in documents:
-            slug = slugify(doc.meta["query_name"])
-            suffix = kind_slug(doc.meta["kind"])
-            name = f"{slug}__{suffix}.json"
-            counter = 2
-            while name in assigned:
-                name = f"{slug}-{counter}__{suffix}.json"
-                counter += 1
-            if name != f"{slug}__{suffix}.json":
-                collisions.append({"requested": f"{slug}__{suffix}.json", "assigned": name})
-            assigned.add(name)
-            atomic_write_text(out / NETWORK_DIR / name, dumps_document(doc))
-            entries.append(
-                {
-                    "file": f"{NETWORK_DIR}/{name}",
-                    "query": doc.meta["query_name"],
-                    "kind": doc.meta["kind"],
-                    "nodes": len(doc.items),
-                    "edges": len(doc.links),
-                    "subset_size": doc.meta["subset_size"],
-                }
-            )
-        manifest = BundleManifest(
-            generated_at=stamp,
-            engine_version=ENGINE_VERSION,
-            networks=entries,
-            collisions=collisions,
-        )
+        for doc, entry in zip(documents, manifest.networks):
+            atomic_write_text(out / entry["file"], dumps_document(doc))
         atomic_write_text(out / MANIFEST_FILE, json_text(manifest._asdict()))
+        listed = {entry["file"] for entry in manifest.networks}
         for path in (out / NETWORK_DIR).glob("*.json"):
-            if path.name not in assigned and path.is_file():
+            if f"{NETWORK_DIR}/{path.name}" not in listed and path.is_file():
                 path.unlink()
-        atomic_write_text(out / INDEX_FILE, render_index(entries))
+        atomic_write_text(out / INDEX_FILE, render_index(manifest.networks))
         if run_report is not None:
-            atomic_write_text(out / RUN_REPORT_FILE, run_report(manifest))
+            atomic_write_text(out / RUN_REPORT_FILE, run_report)
     return manifest
 
 

@@ -4,13 +4,17 @@ import gc
 import json
 import os
 import pickle
+import random
 import re
 import shutil
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 
-from bibnet import pipeline, vos
+from bibnet import network, pipeline, vos
 from bibnet.cli import main
 from bibnet.corpus import EmptyCorpusError
 from bibnet.pipeline import RunConfig, run_all
@@ -234,9 +238,9 @@ def test_run_all_leaves_the_collector_as_it_found_it(
     assert gc.get_freeze_count() == frozen
 
 
-def test_a_run_holds_little_cyclic_garbage_per_file(fixtures_dir, tmp_path, collector_state):
-    # what the paused collector cannot free until a run ends: one cycle of 33
-    # objects per json.dumps(..., indent=2) call on Python 3.10-3.12, none on 3.13
+def test_a_run_leaves_no_cyclic_garbage(fixtures_dir, tmp_path, collector_state):
+    # the paused collector frees nothing until a run ends, so a run makes no
+    # cycle: json.dumps(..., indent=2) made one of 33 objects a call before 3.13
     config = make_config(
         tmp_path, corpus_paths=(str(fixtures_dir / "corpus"),),
         query_dir=str(fixtures_dir / "queries"),
@@ -247,7 +251,52 @@ def test_a_run_holds_little_cyclic_garbage_per_file(fixtures_dir, tmp_path, coll
     unreachable = gc.collect()
     files = [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
     assert len(files) == 9  # 6 networks, the manifest, the index and the run report
-    assert unreachable <= 40 * len(files)
+    assert unreachable == 0
+
+
+def write_dense_concept_corpus(tmp_path):
+    # 30 of 40 concepts on each of 60 publications: counting pairs by bitsets costs less
+    rng = random.Random(5)
+    records = [
+        {"id": f"p{n}", "year": 2021, "concepts": [
+            {"concept": f"c{c}", "relevance": 0.9} for c in rng.sample(range(40), 30)
+        ]}
+        for n in range(60)
+    ]
+    return write_corpus(tmp_path, records)
+
+
+def test_bundles_do_not_depend_on_the_hash_seed(fixtures_dir, tmp_path, monkeypatch):
+    dense = write_dense_concept_corpus(tmp_path)
+    qdir = write_queries(tmp_path, {"all.nql": "year >= 2000\n"})
+    chosen = []
+    real_choice = network._bitsets_cost_less
+
+    def spy(*args):
+        chosen.append(real_choice(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(network, "_bitsets_cost_less", spy)
+    run_all(make_config(tmp_path, corpus_paths=(str(dense),), query_dir=str(qdir),
+                        kinds=(CONCEPT,), params=NetworkParams()))
+    assert chosen == [True]  # the concept network counts its pairs by bitsets
+
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for name, corpus, queries in [
+        ("fixture", fixtures_dir / "corpus", fixtures_dir / "queries"),
+        ("dense", dense, qdir),
+    ]:
+        bundles = [str(tmp_path / f"{name}-{seed}") for seed in (0, 1)]
+        for seed, out in zip((0, 1), bundles):
+            build = [sys.executable, "-m", "bibnet.cli", "build", "--corpus", str(corpus),
+                     "--queries", str(queries), "--out", out, "--today", "2022-07-01"]
+            run = subprocess.run(build, env={**env, "PYTHONHASHSEED": str(seed)},
+                                 capture_output=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+        compare = [sys.executable, str(root / "scripts" / "compare_bundles.py"), *bundles]
+        run = subprocess.run(compare, capture_output=True, timeout=60)
+        assert run.returncode == 0, run.stderr
 
 
 def test_run_report_is_replaced_atomically(tmp_path, monkeypatch):

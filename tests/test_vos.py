@@ -23,9 +23,12 @@ from bibnet.vos import (
     ORGANISATION,
     BundleLockError,
     LOCK_FILE,
+    MANIFEST_FILE,
     NetworkParams,
     VosDocument,
     dumps_document,
+    json_text,
+    plan_bundle,
     slugify,
     to_vos_json,
     validate_bundle,
@@ -447,6 +450,29 @@ def test_writer_matches_json_dumps(items, links, meta):
     assert dumps_document(doc) == json_dumps_document(doc)
 
 
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), _INTS, st.floats(), st.just(-0.0), st.text(_LABEL_CHARS, max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(_LABEL_CHARS, max_size=6), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+@example({})
+@example({"b": [], "a": {}, "\ud800": ()})
+@example([[{"": [-0.0, 2**70, None]}], ("\u2028", True)])
+def test_json_text_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 def test_writer_matches_json_dumps_on_built_networks():
     rng = random.Random(8)
     for _ in range(25):
@@ -514,6 +540,60 @@ def test_bundle_slug_collisions_get_counters(abc_corpus, tmp_path):
         "networks/my-query-3__org.json",
     ]
     assert len(manifest.collisions) == 2
+    assert validate_bundle(tmp_path) == []
+
+
+def test_plan_bundle_names_the_files_write_bundle_writes(abc_corpus, tmp_path, monkeypatch):
+    net = abc_network(abc_corpus)
+    docs = [
+        to_vos_json(net._replace(name=name, kind=kind), generated_at=STAMP)
+        for name, kind in [("My Query", ORGANISATION), ("my query", ORGANISATION),
+                           ("my_query", ORGANISATION), ("my query", CONCEPT), ("***", CONCEPT)]
+    ]
+    monkeypatch.chdir(tmp_path)
+    plan = plan_bundle(docs, STAMP)
+    assert list(tmp_path.iterdir()) == []  # it wrote nothing
+
+    manifest = write_bundle(docs, tmp_path / "out", generated_at=STAMP)
+    assert plan == manifest
+    assert [e["file"] for e in plan.networks] == [
+        "networks/my-query__org.json",
+        "networks/my-query-2__org.json",
+        "networks/my-query-3__org.json",
+        "networks/my-query__concept.json",
+        "networks/network__concept.json",
+    ]
+    assert len(plan.collisions) == 2
+    written = json.loads((tmp_path / "out" / MANIFEST_FILE).read_text("utf-8"))
+    assert written == json.loads(json_text(plan._asdict()))
+
+
+def concept_document(name: str, nodes: int) -> VosDocument:
+    items = [(i, f"concept {i}", 1) for i in range(1, nodes + 1)]
+    meta = {"query_name": name, "kind": CONCEPT, "params": NetworkParams()._asdict(),
+            "subset_size": nodes, "generated_at": STAMP, "engine_version": "0.0.0"}
+    return VosDocument(items, [], meta)
+
+
+@pytest.mark.parametrize(
+    "break_meta, error",
+    [
+        (lambda meta: meta.update(kind="bogus"), ValueError),
+        (lambda meta: meta.pop("query_name"), KeyError),
+    ],
+    ids=["unknown kind", "no query_name"],
+)
+def test_a_document_that_cannot_be_named_fails_before_any_file_is_replaced(
+    tmp_path, break_meta, error
+):
+    write_bundle([concept_document("a", 3), concept_document("b", 2)], tmp_path,
+                 generated_at=STAMP)
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    bad = concept_document("b", 2)
+    break_meta(bad.meta)
+    with pytest.raises(error):
+        write_bundle([concept_document("a", 5), bad], tmp_path, generated_at=STAMP)
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
     assert validate_bundle(tmp_path) == []
 
 
