@@ -62,7 +62,7 @@ FIELDS: dict[str, tuple[str, int]] = {
 QUERY_FILE_SUFFIX = ".nql"
 
 # parentheses and NOTs nested deeper than this are a syntax error, so the
-# recursive-descent parser, the compiler and the printer, which recurse by
+# recursive-descent parser, the query planner and the printer, which recurse by
 # nesting depth and never by chain length, stay well inside Python's
 # recursion limit
 MAX_NESTING = 100
@@ -496,33 +496,6 @@ def _leaf(field: str, test: Callable[[object], bool]) -> _Predicate:
     return scalar
 
 
-def _compile(expr: Expr, today: date) -> _Predicate:
-    """Compile an AST into a predicate over one publication, computing every
-    per-query constant (value sets, date cutoffs) once."""
-    if isinstance(expr, BoolExpr):
-        # plain loops: any()/all() over a generator cost twice as much here
-        terms = tuple(_compile(term, today) for term in expr.terms)
-        if expr.op == "OR":
-            def joined(pub: tuple) -> bool:
-                for term in terms:
-                    if term(pub):
-                        return True
-                return False
-        else:
-            def joined(pub: tuple) -> bool:
-                for term in terms:
-                    if not term(pub):
-                        return False
-                return True
-        return joined
-    if isinstance(expr, NotExpr):
-        operand = _compile(expr.operand, today)
-        return lambda pub: not operand(pub)
-    if isinstance(expr, (Comparison, Membership, DateWindow)):
-        return _leaf(expr.field, _value_test(expr, today))
-    raise TypeError(f"not a query expression: {expr!r}")
-
-
 # A field's value table: each stored value -> the ids of the publications
 # holding it. A scalar field's missing value (None) fails every leaf, so it
 # has no entry; a multi-valued field lists each element, None included.
@@ -561,25 +534,24 @@ class QueryBatch:
     """The queries of one run, evaluated over one corpus.
 
     Call it with each query. A field that two or more of the queries could
-    look up (outside any NOT) gets a value table, built when first needed.
-    A query's candidates are then the publications its tables point to; it
-    tests them, or the whole corpus when it has none, with the one compiled
-    predicate, so it selects what a scan does. A single query builds no
-    table: one costs a pass over the corpus and its memory, never less than
-    the scan it saves.
+    look up (outside any NOT) gets a value table, built when the batch is
+    made. Each call walks its query once, planning its predicate and its
+    candidates: the publications its tables point to. It tests them, or the
+    whole corpus when it has none, with that one predicate, so it selects
+    what a scan does. A single query builds no table: one costs a pass over
+    the corpus and its memory, never less than the scan it saves.
     """
 
     def __init__(self, corpus: Corpus, today: date, queries: list[SubsetQuery]) -> None:
         self.corpus = corpus
         self.today = today
         named = Counter(field for query in queries for field in _lookup_fields(query.ast))
-        self.shared = {field for field, n in named.items() if n >= 2 and field != "id"}
-        self.tables: dict[str, _Table | None] = {}
+        shared = sorted(field for field, n in named.items() if n >= 2 and field != "id")
+        self.tables: dict[str, _Table | None] = {f: _value_table(corpus, f) for f in shared}
 
     def __call__(self, query: SubsetQuery) -> SubsetResult:
-        matches = _compile(query.ast, self.today)
+        matches, found = self._plan(query.ast, lookup=True)
         pubs = self.corpus.publications
-        found = self._candidates(query.ast)
         if found is None:
             ids = frozenset(pid for pid, pub in pubs.items() if matches(pub))
         else:
@@ -587,46 +559,55 @@ class QueryBatch:
             ids = frozenset(pid for pid in candidates if matches(pubs[pid]))
         return SubsetResult(ids=ids, query_name=query.name)
 
-    def _table(self, field: str) -> _Table | None:
-        if field not in self.shared:
-            return None
-        if field not in self.tables:
-            self.tables[field] = _value_table(self.corpus, field)
-        return self.tables[field]
-
-    def _candidates(self, expr: Expr) -> list | None:
-        """Id collections whose union holds every publication ``expr``
-        selects, or None for all: table entries for a leaf on a tabled
-        field, the listed ids for ``id IN``/``id ==``, the smallest of an
-        AND's terms (by entry lengths), and the union of an OR's if each
-        term has some. NOT and any other leaf have none."""
+    def _plan(self, expr: Expr, lookup: bool) -> tuple[_Predicate, list | None]:
+        """The predicate of ``expr`` over one publication, with every
+        per-query constant (value sets, date cutoffs) computed once, and id
+        collections whose union holds every publication it selects, or None
+        for all: table entries for a leaf on a tabled field, the listed ids
+        for ``id IN``/``id ==``, the smallest of an AND's terms (by entry
+        lengths), and the union of an OR's if each term has some. Nothing
+        under a NOT (``lookup`` false) has any, nor does any other leaf."""
         if isinstance(expr, BoolExpr):
-            found = [self._candidates(term) for term in expr.terms]
-            if expr.op == "AND":
-                known = [c for c in found if c is not None]
-                return min(known, key=lambda c: sum(map(len, c))) if known else None
-            return None if None in found else list(chain.from_iterable(found))
+            terms, found = zip(*(self._plan(term, lookup) for term in expr.terms))
+            # plain loops: any()/all() over a generator cost twice as much here
+            if expr.op == "OR":
+                def joined(pub: tuple) -> bool:
+                    for term in terms:
+                        if term(pub):
+                            return True
+                    return False
+                return joined, None if None in found else list(chain.from_iterable(found))
+            def joined(pub: tuple) -> bool:  # AND
+                for term in terms:
+                    if not term(pub):
+                        return False
+                return True
+            known = [c for c in found if c is not None]
+            return joined, min(known, key=lambda c: sum(map(len, c))) if known else None
         if isinstance(expr, NotExpr):
-            return None
+            operand, _ = self._plan(expr.operand, lookup=False)
+            return (lambda pub: not operand(pub)), None
+        if not isinstance(expr, (Comparison, Membership, DateWindow)):
+            raise TypeError(f"not a query expression: {expr!r}")
+        test = _value_test(expr, self.today)
+        matches = _leaf(expr.field, test)
         if isinstance(expr, Membership):
             values = expr.values
         elif isinstance(expr, Comparison) and expr.op == "==":
             values = (expr.value,)
         else:  # tested value by value
             values = None
+        if lookup and expr.field == "id":
+            return matches, None if values is None else [values]
+        table = self.tables.get(expr.field) if lookup else None
+        if table is None:
+            return matches, None
         try:
-            if expr.field == "id":
-                ids = self.corpus.publications
-                return None if values is None else [[v for v in values if v in ids]]
-            table = self._table(expr.field)
-            if table is None:
-                return None
             if values is not None:
-                return [table[v] for v in values if v in table]
-            test = _value_test(expr, self.today)
-            return [entry for value, entry in table.items() if test(value)]
+                return matches, [table[v] for v in values if v in table]
+            return matches, [entry for value, entry in table.items() if test(value)]
         except TypeError:  # a literal or stored value the test cannot take: scan
-            return None
+            return matches, None
 
 
 def eval_query(query: SubsetQuery, corpus: Corpus, today: date) -> SubsetResult:

@@ -106,6 +106,8 @@ CASES = [
     ("ingest", "output in a missing directory",
      lambda p: ["ingest", "--corpus", p.corpus, "--report", p.missing / "r.json"], ERROR),
     ("ingest", "empty file", lambda p: ["ingest", "--corpus", p.root / "empty.jsonl"], ERROR),
+    ("ingest", "directory without a corpus file", lambda p: ["ingest", "--corpus", p.directory],
+     ERROR),
     ("ingest", "non-UTF-8 bytes", lambda p: ["ingest", "--corpus", p.root / "latin.jsonl"], ERROR),
     ("ingest", "unsupported suffix",
      lambda p: ["ingest", "--corpus", p.root / "latin.jsonl", p.notes], ERROR),
@@ -121,6 +123,8 @@ CASES = [
     ("build", "file for a directory", lambda p: _build(p, out=p.plain), ERROR),
     ("build", "file for the query folder", lambda p: _build(p, queries="plain"), ERROR),
     ("build", "empty file", lambda p: _build(p, corpus=[p.root / "empty.jsonl"]), ERROR),
+    ("build", "directory without a corpus file", lambda p: _build(p, corpus=[p.directory]),
+     ERROR),
     ("build", "empty .nql file", lambda p: _build(p, queries="queries-empty"), SKIP),
     ("build", "non-UTF-8 bytes", lambda p: _build(p, corpus=[p.root / "latin.jsonl"]), ERROR),
     ("build", "non-UTF-8 .nql file", lambda p: _build(p, queries="queries-latin"), SKIP),

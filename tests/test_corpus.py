@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import random
+import re
 import shutil
 from datetime import date
 from pathlib import Path
@@ -20,6 +21,7 @@ from bibnet.corpus import (
     DATE_INSERTED,
     DOC_TYPE,
     JOURNAL_TITLE,
+    MAX_REPORTED_REASONS,
     RELEVANCES,
     RESEARCH_ORGS,
     YEAR,
@@ -30,6 +32,7 @@ from bibnet.corpus import (
     Publication,
     _parse_files,
     _Shared,
+    build_corpus,
     corpus_stats,
     ingest,
     parse_publication,
@@ -109,6 +112,12 @@ def test_ingest_skips_out_of_range_relevance(tmp_path):
             {"id": "pub.bad", "concepts": [{"concept": "x", "relevance": True}]},
             "concept relevance must be a number, got True",
         ),
+        ({"id": "pub.bad", "doc_type": 5}, "field 'doc_type' must be a string, got 5"),
+        (
+            {"id": "pub.bad", "concepts": [{"concept": 5, "relevance": 0.5}]},
+            "concept text must be a string, got 5",
+        ),
+        ({"id": "pub.bad", "concepts": ["x"]}, "concepts entries must be objects, got 'x'"),
     ],
 )
 def test_invalid_field_skips_the_record_with_its_reason(tmp_path, record, reason):
@@ -116,6 +125,14 @@ def test_invalid_field_skips_the_record_with_its_reason(tmp_path, record, reason
     corpus, report = ingest([path])
     assert "pub.bad" not in corpus.publications
     assert report.skip_reasons == [f"{path}:4: {reason}"]
+
+
+def test_summary_counts_the_skips_past_those_it_names(tmp_path):
+    bad = [{"id": f"pub.bad{i}", "year": "2021"} for i in range(MAX_REPORTED_REASONS + 2)]
+    path = write_jsonl(tmp_path / "corpus.jsonl", PUBS + bad)
+    _, report = ingest([path])
+    assert len(report.skip_reasons) == MAX_REPORTED_REASONS
+    assert report.summary().endswith("\n  ... and 2 more")
 
 
 def test_title_is_validated_but_not_stored():
@@ -289,6 +306,18 @@ def test_zero_valid_records_is_fatal(tmp_path):
 def test_unreadable_file_is_fatal(tmp_path):
     with pytest.raises(FileNotFoundError):
         ingest([tmp_path / "missing.jsonl"])
+
+
+def test_a_directory_without_a_corpus_file_is_fatal(tmp_path):
+    (tmp_path / "notes.txt").write_text("not a corpus file\n", encoding="utf-8")
+    message = f"no files with a suffix of .jsonl, .ndjson, .json, .csv in directory {tmp_path}"
+    with pytest.raises(FileNotFoundError, match=f"^{re.escape(message)}$"):
+        ingest([tmp_path])
+
+
+def test_an_empty_publication_id_is_fatal():
+    with pytest.raises(CorpusError, match="^publication id must be non-empty$"):
+        build_corpus([Publication("")], [])
 
 
 @pytest.mark.parametrize("command", ["ingest", "build"])

@@ -518,6 +518,17 @@ def test_cli_unknown_kind_names_the_kind(tmp_path, capsys):
     )
 
 
+def test_cli_kinds_naming_no_kind_is_an_error(tmp_path, capsys):
+    qdir = write_queries(tmp_path)
+    code = main(["build", "--corpus", str(write_corpus(tmp_path)), "--queries", str(qdir),
+                 "--out", str(tmp_path / "out"), "--kinds", " , "])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "bibnet build: error: argument --kinds: --kinds needs at least one of: org, concept"
+    )
+
+
 def test_bundle_files_take_their_mode_from_the_umask(fixtures_dir, tmp_path):
     out = tmp_path / "out"
     old_umask = os.umask(0o022)

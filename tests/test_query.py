@@ -4,6 +4,7 @@ import json
 import random
 import shutil
 import time
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -21,6 +22,7 @@ from bibnet.corpus import (
     ingest,
 )
 from bibnet.query import (
+    FIELDS,
     MAX_NESTING,
     BoolExpr,
     Comparison,
@@ -336,6 +338,21 @@ def test_a_chain_checks_its_operator_and_its_term_count(op, n, message):
     # printed as `a`, which parses back to a different node
     with pytest.raises(ValueError, match=message):
         BoolExpr(op, (Comparison("year", "==", 2020),) * n)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: print_query(Comparison("year", "==", True)), "boolean literals are not part"),
+        (lambda: print_query("year == 2020"), "not a query expression: 'year == 2020'"),
+        (lambda: eval_query(as_query("year == 2020"), corpus_with_dates({"p1": None}), TODAY),
+         "not a query expression: 'year == 2020'"),
+    ],
+    ids=["print a boolean literal", "print a non-expression", "evaluate a non-expression"],
+)
+def test_a_node_outside_the_language_is_a_type_error(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
 
 
 def test_print_query_round_trips_a_100000_term_chain():
@@ -684,6 +701,40 @@ def test_a_run_of_queries_selects_what_the_reference_does(seed):
     assert all(table is not None for table in evaluate.tables.values())
 
 
+def fields_outside_not(expr: Expr) -> set[str]:
+    """The fields named by the leaves of ``expr`` that no NOT encloses."""
+    if isinstance(expr, BoolExpr):
+        return set().union(*map(fields_outside_not, expr.terms))
+    return set() if isinstance(expr, NotExpr) else {expr.field}
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_batch_holds_every_table_it_uses_once_made(seed):
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, max_pubs=30)
+    pool = [random_expr(rng, rng.randint(0, 3)) for _ in range(3)] + tabled_leaves(rng, corpus)
+    base = rng.sample(pool, rng.randint(1, 3))
+    exprs = base + [BoolExpr("AND", (e, base[(i + 1) % len(base)])) for i, e in enumerate(base)]
+    # a sample of them, so some fields are named by one query only
+    exprs = rng.sample(exprs, rng.randint(1, len(exprs)))
+    queries = [as_query(expr, name=f"q{i}") for i, expr in enumerate(exprs)]
+    batch = QueryBatch(corpus, TODAY, queries)
+    named = Counter(field for expr in exprs for field in fields_outside_not(expr))
+    assert set(batch.tables) == {field for field, n in named.items() if n >= 2 and field != "id"}
+    for field, table in batch.tables.items():
+        position = FIELDS[field][1]
+        held = {
+            pid: set(pub[position]) if position in (RESEARCH_ORGS, CONCEPT_TEXTS)
+            else {pub[position]} - {None}
+            for pid, pub in corpus.publications.items()
+        }
+        assert table is not None
+        assert set(table) == set().union(*held.values())
+        for value, entry in table.items():
+            assert set(entry) == {pid for pid, values in held.items() if value in values}
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
     """The fields whose value tables are built, in order."""
@@ -754,7 +805,7 @@ def test_a_value_a_table_cannot_hold_leaves_its_field_to_the_scan(table_builds):
     evaluate = QueryBatch(corpus, TODAY, queries)
     for query in queries:
         assert evaluate(query).ids == reference_ids(query.ast, corpus, TODAY)
-    assert table_builds == ["journal_title", "concept"]
+    assert table_builds == ["concept", "journal_title"]
     assert evaluate.tables == {"journal_title": None, "concept": None}
 
 
