@@ -12,7 +12,7 @@ from datetime import date
 from typing import NamedTuple
 
 from bibnet.corpus import IngestReport, StatsReport, corpus_stats, ingest
-from bibnet.network import build_network
+from bibnet.network import NetworkBatch
 from bibnet.query import QueryBatch, load_query_folder
 from bibnet.version import ENGINE_VERSION
 from bibnet.vos import KINDS, NetworkParams, check_kind, json_text, now_stamp, plan_bundle
@@ -107,13 +107,11 @@ def _run(config: RunConfig) -> RunReport:
     skipped = [{"query": failure.name, "reason": failure.error} for failure in folder.failures]
     documents = []
     evaluate = QueryBatch(corpus, today, folder.queries)
+    builders = [NetworkBatch(corpus, kind, config.params) for kind in config.kinds]
     for query in folder.queries:
         try:
             subset = evaluate(query)
-            query_docs = [
-                to_vos_json(build_network(corpus, subset, kind, config.params), generated_at=stamp)
-                for kind in config.kinds
-            ]
+            query_docs = [to_vos_json(build(subset), generated_at=stamp) for build in builders]
         except Exception as exc:  # per-query isolation
             skipped.append({"query": query.name, "reason": f"{type(exc).__name__}: {exc}"})
             continue

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,8 +23,12 @@ from bibnet.corpus import (
 )
 from bibnet.network import (
     Edge,
+    NetworkBatch,
+    _Bitsets,
     _bitsets_cost_less,
-    _pairs_by_bitsets,
+    _entities,
+    _index_is_dense,
+    _index_serves,
     _pairs_by_enumeration,
     _rank,
     _subset_entities,
@@ -200,14 +206,33 @@ def test_concept_labels_are_the_concept_text():
 
 # --- pair counters --------------------------------------------------------------
 
-PAIR_COUNTERS = [_pairs_by_enumeration, _pairs_by_bitsets]
+
+def pairs_by_enumeration(corpus, subset, kind, params, keys):
+    entity_keys = _subset_entities(corpus, subset, kind, params)
+    return _pairs_by_enumeration(entity_keys, keys, params.min_edge_weight)
+
+
+def pairs_by_subset_bitsets(corpus, subset, kind, params, keys):
+    entity_keys = _subset_entities(corpus, subset, kind, params)
+    return _Bitsets(entity_keys, keys).pairs(keys, params.min_edge_weight)
+
+
+def pairs_by_run_index(corpus, subset, kind, params, keys):
+    """The run's index over the whole corpus, masked by the subset, whether
+    or not the selection rule would build it for this corpus."""
+    entity_keys = _entities(corpus, corpus.publications.values(), kind, params)
+    index = _Bitsets(entity_keys, set(chain.from_iterable(entity_keys)))
+    within = int("".join("01"[pid in subset.ids] for pid in corpus.publications), 2)
+    return index.pairs(keys, params.min_edge_weight, within)
+
+
+PAIR_COUNTERS = [pairs_by_enumeration, pairs_by_subset_bitsets, pairs_by_run_index]
 
 
 def counted_pairs(count_pairs, corpus, subset, kind, params):
     """The ``(a, b, weight)`` rows ``count_pairs`` gives for the network's nodes."""
-    entity_keys = _subset_entities(corpus, subset, kind, params)
-    keys = sorted((n.key for n in _rank(corpus, entity_keys, kind, params)), reverse=True)
-    return count_pairs(entity_keys, keys, params.min_edge_weight)
+    keys = sorted((n.key for n in top_nodes(corpus, subset, kind, params)), reverse=True)
+    return count_pairs(corpus, subset, kind, params, keys)
 
 
 def org_corpus(*org_lists):
@@ -257,9 +282,87 @@ def test_pair_counter_matches_the_oracle_whichever_path_is_picked(count_pairs):
             entity_keys = _subset_entities(corpus, subset, kind, params)
             keys = sorted((n.key for n in oracle.nodes), reverse=True)
             picked.add(_bitsets_cost_less(entity_keys, keys))
-            rows = count_pairs(entity_keys, keys, params.min_edge_weight)
+            rows = count_pairs(corpus, subset, kind, params, keys)
             assert rows == [tuple(e) for e in oracle.edges]
     assert picked == {False, True}
+
+
+def test_the_index_rule_at_its_edges():
+    # a subset of half the corpus is broad; one publication fewer is not
+    assert _index_serves(50, 100) and not _index_serves(49, 100)
+    assert _index_serves(51, 101) and not _index_serves(50, 101)
+    # one mention per 64-bit word: 10 bitsets of 640 publications are 100 words
+    assert _index_is_dense(100, 10, 640) and not _index_is_dense(99, 10, 640)
+    assert _index_is_dense(1, 1, 64) and not _index_is_dense(1, 1, 65)
+
+
+def random_batch_corpus(rng, dense):
+    """120 publications, each listing a few organisations (some more than
+    once, some that no organisation resolves) and concepts (some twice, some
+    exactly at a 0.5 gate); dense over a few entities, or sparse over many."""
+    n_orgs, n_concepts = (6, 8) if dense else (400, 400)
+    orgs = [Organisation(id=f"o{i}", name=f"Org {i}") for i in range(n_orgs)]
+    listable = [org.id for org in orgs] + ["ghost.1", "ghost.2"]
+    pubs = [
+        Publication(
+            id=f"p{i}",
+            research_orgs=[rng.choice(listable) for _ in range(rng.randint(0, 5))],
+            concepts=[
+                (f"c{rng.randrange(n_concepts)}", rng.choice((0.2, 0.5, 0.9)))
+                for _ in range(rng.randint(0, 6))
+            ],
+        )
+        for i in range(120)
+    ]
+    return build_corpus(pubs, orgs)
+
+
+# (subset name, publications from the corpus, ids absent from it, whether the index serves it)
+BATCH_SUBSETS = [
+    ("all", 120, 0, True),
+    ("half", 60, 0, True),
+    ("under-half", 59, 0, False),
+    ("broad-with-absent-ids", 70, 80, True),
+    ("narrow-with-absent-ids", 40, 40, False),
+    ("absent-ids-only", 0, 60, False),
+    ("empty", 0, 0, False),
+]
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_a_batch_builds_every_subset_as_the_oracle_does(dense, monkeypatch):
+    rng = random.Random(33)
+    corpus = random_batch_corpus(rng, dense)
+    subsets = []
+    for name, present, absent, _ in BATCH_SUBSETS:
+        ids = rng.sample(sorted(corpus.publications), present) + [f"x{i}" for i in range(absent)]
+        subsets.append(make_subset(ids, name))
+    served = []  # one entry per network whose node counts the run's index gave
+    real_counts = _Bitsets.counts
+
+    def counts(self, within):
+        served.append(within)
+        return real_counts(self, within)
+
+    monkeypatch.setattr(_Bitsets, "counts", counts)
+    ties_at_the_cap = set()
+    for kind in KINDS:
+        for max_nodes in (3, 4, 5, 500):
+            for min_edge_weight in (1, 3):
+                params = NetworkParams(max_nodes, min_edge_weight, concept_min_relevance=0.5)
+                batch = NetworkBatch(corpus, kind, params)
+                for subset, (_, _, _, broad) in zip(subsets, BATCH_SUBSETS):
+                    before = len(served)
+                    built = batch(subset)
+                    assert built == brute_force_network(corpus, subset, kind, params)
+                    assert len(served) - before == (broad and dense)
+                    uncapped = top_nodes(corpus, subset, kind, params._replace(max_nodes=500))
+                    if broad and len(uncapped) > max_nodes:
+                        if uncapped[max_nodes].pubs == built.nodes[-1].pubs:
+                            ties_at_the_cap.add(kind)
+                assert (batch.index is not None) == dense
+    if dense:
+        assert ties_at_the_cap == set(KINDS)
 
 
 def test_edges_are_tuples_built_by_keyword_or_position():
@@ -429,7 +532,7 @@ ONE_PUB = build_corpus([Publication(id="p")], [])  # concept labels are their ke
 @settings(max_examples=300, deadline=None)
 def test_rank_orders_as_the_reference_sort(entity_keys, max_nodes):
     params = NetworkParams(max_nodes=max_nodes)
-    nodes = _rank(ONE_PUB, entity_keys, CONCEPT, params)
+    nodes = _rank(ONE_PUB, Counter(chain.from_iterable(entity_keys)), CONCEPT, params)
     assert [(n.key, n.pubs) for n in nodes] == reference_rank(entity_keys, max_nodes)
 
 

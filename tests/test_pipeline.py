@@ -255,7 +255,8 @@ def test_a_run_leaves_no_cyclic_garbage(fixtures_dir, tmp_path, collector_state)
 
 
 def write_dense_concept_corpus(tmp_path):
-    # 30 of 40 concepts on each of 60 publications: counting pairs by bitsets costs less
+    # 30 of 40 concepts on each of 60 publications: the run's index is dense, and counting
+    # a subset's pairs by bitsets costs less than enumerating them
     rng = random.Random(5)
     records = [
         {"id": f"p{n}", "year": 2021, "concepts": [
@@ -268,18 +269,20 @@ def write_dense_concept_corpus(tmp_path):
 
 def test_bundles_do_not_depend_on_the_hash_seed(fixtures_dir, tmp_path, monkeypatch):
     dense = write_dense_concept_corpus(tmp_path)
-    qdir = write_queries(tmp_path, {"all.nql": "year >= 2000\n"})
+    few = ", ".join(f'"p{n}"' for n in range(20))
+    qdir = write_queries(tmp_path, {"all.nql": "year >= 2000\n", "few.nql": f"ids({few})\n"})
     chosen = []
-    real_choice = network._bitsets_cost_less
+    for name in ("_index_is_dense", "_bitsets_cost_less"):
+        def spy(*args, name=name, real_choice=getattr(network, name)):
+            chosen.append((name, real_choice(*args)))
+            return chosen[-1][1]
 
-    def spy(*args):
-        chosen.append(real_choice(*args))
-        return chosen[-1]
-
-    monkeypatch.setattr(network, "_bitsets_cost_less", spy)
+        monkeypatch.setattr(network, name, spy)
     run_all(make_config(tmp_path, corpus_paths=(str(dense),), query_dir=str(qdir),
                         kinds=(CONCEPT,), params=NetworkParams()))
-    assert chosen == [True]  # the concept network counts its pairs by bitsets
+    # all 60 publications are read from the run's index; the 20 of few.nql count
+    # their pairs by bitsets of their own
+    assert chosen == [("_index_is_dense", True), ("_bitsets_cost_less", True)]
 
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -795,7 +798,7 @@ def test_cli_build_exits_2_when_no_networks_produced(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("synthetic build failure")
 
-    monkeypatch.setattr(pipeline_module, "build_network", explode)
+    monkeypatch.setattr(pipeline_module.NetworkBatch, "__call__", explode)
     corpus = write_corpus(tmp_path)
     qdir = write_queries(tmp_path)
     code = main(
